@@ -1,11 +1,17 @@
-"""E-ABL (index structures) — the extended binary tree vs the FD-tree.
+"""E-IDX (index structures) — negative-cover indexes and the array cover.
 
 Section IV-D motivates the extended binary tree over the classic FD-tree
 ("consumes less memory while quickly searching for specializations and
-generalizations").  This benchmark replays an identical inversion
-workload — the negative cover EulerFD collects on the plista workload —
-against all three LhsIndex implementations and times them; covers must
-come out identical.
+generalizations").  This benchmark replays the exact non-FD stream EulerFD
+collects on the plista workload twice:
+
+* **negative-cover construction**, where the three ``LhsIndex``
+  implementations still serve — every row must keep the same maximal
+  non-FDs;
+* **inversion**, on the array-backed positive cover EulerFD uses
+  (``array-cover``) and, for comparison, on a positive cover kept in each
+  of the three trees with one subset walk per candidate — every row must
+  produce the same FD set.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from repro.fd import (
     BitsetLhsIndex,
     FDTreeIndex,
     NegativeCover,
-    covers,
+    attrset,
+    sort_for_cover_insertion,
 )
 
 FACTORIES = {
@@ -49,34 +56,69 @@ def workload():
         if stats.pairs_compared == 0:
             break
         for agree, novel in violations:
-            remaining = novel
-            while remaining:
-                bit = remaining & -remaining
-                remaining ^= bit
-                non_fds.append(FD(agree, bit.bit_length() - 1))
+            for rhs in attrset.to_indices(novel):
+                non_fds.append(FD(agree, rhs))
     return data.num_columns, non_fds
 
 
-def invert_with(factory, num_columns, non_fds):
-    original = covers.default_index_factory
-    covers.default_index_factory = factory
-    try:
-        ncover = NegativeCover(num_columns)
+@pytest.fixture(scope="module")
+def admitted(workload):
+    """The stream's non-FDs that grew the negative cover, in order."""
+    num_columns, non_fds = workload
+    ncover = NegativeCover(num_columns)
+    return [fd for fd in non_fds if ncover.add(fd)]
+
+
+def build_ncover(factory, num_columns, non_fds):
+    ncover = NegativeCover(num_columns, index_factory=factory)
+    ncover.add_all(non_fds)
+    return frozenset(ncover)
+
+
+def invert(cover_name, num_columns, non_fds):
+    if cover_name == "array-cover":
         inverter = Inverter(num_columns)
-        admitted = [fd for fd in non_fds if ncover.add(fd)]
-        inverter.process(admitted)
+        inverter.process(non_fds)
         return frozenset(inverter.pcover)
-    finally:
-        covers.default_index_factory = original
+    return invert_with_trees(FACTORIES[cover_name], num_columns, non_fds)
+
+
+def invert_with_trees(factory, num_columns, non_fds):
+    """Algorithm 3 on one tree per RHS: a subset walk per candidate."""
+    trees = [factory() for _ in range(num_columns)]
+    for tree in trees:
+        tree.add(attrset.EMPTY)
+    universe = attrset.universe(num_columns)
+    for non_fd in sort_for_cover_insertion(non_fds):
+        tree = trees[non_fd.rhs]
+        extensions = universe & ~non_fd.lhs & ~attrset.singleton(non_fd.rhs)
+        for general in tree.find_subsets(non_fd.lhs):
+            tree.remove(general)
+            for attr in attrset.to_indices(extensions):
+                candidate = general | attrset.singleton(attr)
+                if not tree.contains_subset(candidate):
+                    tree.add(candidate)
+    return frozenset(
+        FD(lhs, rhs) for rhs, tree in enumerate(trees) for lhs in tree
+    )
 
 
 @pytest.mark.parametrize("index_name", list(FACTORIES))
-def test_inversion_with_index(benchmark, workload, index_name):
+def test_ncover_with_index(benchmark, workload, index_name):
     num_columns, non_fds = workload
     result = benchmark.pedantic(
-        lambda: invert_with(FACTORIES[index_name], num_columns, non_fds),
+        lambda: build_ncover(FACTORIES[index_name], num_columns, non_fds),
         rounds=1,
         iterations=1,
     )
-    reference = invert_with(BinaryLhsTree, num_columns, non_fds)
+    reference = build_ncover(BinaryLhsTree, num_columns, non_fds)
     assert result == reference  # all indexes must agree exactly
+
+
+@pytest.mark.parametrize("cover_name", ["array-cover", *FACTORIES])
+def test_inversion_with_cover(benchmark, workload, admitted, cover_name):
+    num_columns, _ = workload
+    result = benchmark.pedantic(
+        invert, args=(cover_name, num_columns, admitted), rounds=1, iterations=1
+    )
+    assert result == invert("array-cover", num_columns, admitted)

@@ -9,7 +9,7 @@ The analysis is region-based and deliberately coarse: each parameter
 roots a *region*, and any value reached from a parameter by attribute
 access, subscripting, or a method-call result is treated as part of that
 parameter's region.  This is exactly the aliasing the kernels use
-(``pcover = self.pcover``, ``tree = self._trees[rhs]``,
+(``specialize = self.pcover.specialize``, ``tree = self._trees[rhs]``,
 ``bucket = self._buckets.get(card)``) without the cost of a real
 points-to analysis.  A region is *mutated* by
 
@@ -17,9 +17,9 @@ points-to analysis.  A region is *mutated* by
 * a call of a known mutating method (``append``, ``add`` …) on it,
 * a call of a project function/method whose own summary says the
   corresponding parameter is mutated — summaries are propagated to a
-  fixpoint across the whole project, so ``Inverter.process`` inherits
-  ``self`` from ``_invert_one`` which inherits it from
-  ``PositiveCover.remove``.
+  fixpoint across the whole project, so ``NegativeCover.add_all``
+  inherits ``self`` from ``NegativeCover.add``, which stores into
+  ``self._size``.
 
 Two sources of imprecision, both deliberate:
 

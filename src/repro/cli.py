@@ -16,11 +16,16 @@ Subcommands:
   the ``repro-metrics`` console script);
 * ``datasets``  — list the registered benchmark datasets;
 * ``algorithms`` — list the available discovery algorithms.
+
+Exit codes: 0 on success; 2 on a usage error (argparse) or on input the
+CSV reader rejects — a missing, empty or ragged file, or repeated column
+names — which prints one ``error: ...`` line to stderr, no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from collections.abc import Sequence
 
@@ -42,7 +47,27 @@ from .obs import (
     to_jsonl,
     write_trace,
 )
-from .relation import read_csv, write_csv
+from .relation import Relation, read_csv, write_csv
+
+EXIT_BAD_INPUT = 2
+"""Exit code for input the CSV reader rejects (argparse uses 2 as well)."""
+
+
+class InputError(Exception):
+    """Input the CLI cannot read; :func:`main` reports it as one line."""
+
+
+def _read_input(args: argparse.Namespace) -> Relation:
+    """Load the subcommand's CSV, turning reader errors into InputError."""
+    try:
+        return read_csv(
+            args.path,
+            has_header=not args.no_header,
+            delimiter=args.delimiter,
+            max_rows=args.max_rows,
+        )
+    except (OSError, ValueError, csv.Error) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,12 +317,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
-    relation = read_csv(
-        args.path,
-        has_header=not args.no_header,
-        delimiter=args.delimiter,
-        max_rows=args.max_rows,
-    )
+    relation = _read_input(args)
     context = ExecutionContext(relation, backend=args.backend, jobs=args.jobs)
     with use_context(context):
         result = create(args.algorithm).discover(relation)
@@ -316,23 +336,13 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .profile import profile_relation
 
-    relation = read_csv(
-        args.path,
-        has_header=not args.no_header,
-        delimiter=args.delimiter,
-        max_rows=args.max_rows,
-    )
+    relation = _read_input(args)
     print(profile_relation(relation).render())
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    relation = read_csv(
-        args.path,
-        has_header=not args.no_header,
-        delimiter=args.delimiter,
-        max_rows=args.max_rows,
-    )
+    relation = _read_input(args)
     # One execution context for the whole comparison: the ground-truth
     # oracle and every compared algorithm share the preprocessed matrix
     # and partition cache.
@@ -446,7 +456,11 @@ _HANDLERS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 def trace_main(argv: Sequence[str] | None = None) -> int:

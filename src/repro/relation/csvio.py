@@ -28,12 +28,16 @@ def read_csv(
     Values equal to ``null_token`` become ``None`` (SQL NULL); everything
     else stays a string — FD discovery only compares values for equality,
     so no type coercion is needed or wanted.  ``max_rows`` truncates large
-    files for scalability sweeps.
+    files for scalability sweeps.  A leading UTF-8 byte-order mark is
+    dropped, so it never leaks into the first column name.
+
+    Raises ``ValueError`` for an empty file, a ragged row or a repeated
+    column name.
     """
     path = Path(path)
     rows: list[list[object]] = []
     header: Sequence[str] | None = None
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         for record in reader:
             if header is None and has_header:

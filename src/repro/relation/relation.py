@@ -32,8 +32,10 @@ class Relation:
             raise ValueError(
                 f"{len(self.column_names)} names for {len(self.columns)} columns"
             )
-        if len(set(self.column_names)) != len(self.column_names):
-            raise ValueError("column names must be unique")
+        names = self.column_names
+        if len(set(names)) != len(names):
+            repeated = list(dict.fromkeys(n for n in names if names.count(n) > 1))
+            raise ValueError(f"column names must be unique, repeated: {repeated}")
         lengths = {len(column) for column in self.columns}
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: lengths {sorted(lengths)}")

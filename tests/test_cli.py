@@ -42,6 +42,35 @@ class TestDiscover:
             main(["discover", patients_csv, "--algorithm", "nope"])
 
 
+class TestBadInput:
+    """Unreadable CSVs give one ``error:`` line on stderr and exit 2."""
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("empty.csv", "", "is empty"),
+            ("ragged.csv", "a,b\n1,2\n3\n", "row 1 has 1 fields, expected 2"),
+            ("dup.csv", "a,b,a\n1,2,3\n", "repeated: ['a']"),
+        ],
+        ids=["empty", "ragged", "duplicate-columns"],
+    )
+    def test_discover_reports_one_line(self, tmp_path, capsys, name, content,
+                                       message):
+        path = tmp_path / name
+        path.write_text(content)
+        assert main(["discover", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["profile", str(tmp_path / "absent.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestDiscoverJson:
     def test_json_output_roundtrips(self, patients_csv, capsys):
         import json

@@ -76,6 +76,12 @@ class TestNegativeCover:
         assert added == 2  # duplicate skipped, specialization evicts
         assert len(cover) == 1
 
+    def test_custom_index_factory(self):
+        cover = NegativeCover(3, index_factory=BitsetLhsIndex)
+        assert cover.add(FD.of([0], 1))
+        assert not cover.add(FD.of([], 1))
+        assert cover.covers(FD(0, 1))
+
     def test_iteration_yields_fds(self):
         cover = NegativeCover(3)
         cover.add(FD.of([0], 1))
@@ -150,17 +156,21 @@ class TestPositiveCover:
         assert cover.add(FD.of([0], 3))
         assert set(cover) == {FD.of([0], 3)}
 
-    def test_add_minimal_skips_eviction_check(self):
-        cover = PositiveCover(4, seed_most_general=False)
-        assert cover.add_minimal(FD.of([0], 3))
-        assert not cover.add_minimal(FD.of([0], 3))
-        assert len(cover) == 1
-
-    def test_remove(self):
+    def test_specialize_replaces_generalizations(self):
         cover = PositiveCover(3)
-        assert cover.remove(FD(0, 1))
-        assert not cover.remove(FD(0, 1))
-        assert len(cover) == 2
+        assert cover.specialize(FD(0, 1)) == (1, 2)  # {} -> 1 by {0}, {2}
+        assert FD(0, 1) not in cover
+        assert cover.lhs_masks(1) == [0b001, 0b100]
+        assert cover.specialize(FD(0, 1)) == (0, 0)
+        assert len(cover) == 4
+
+    def test_specialize_keeps_candidates_with_stored_generalization_out(self):
+        cover = PositiveCover(4, seed_most_general=False)
+        cover.add(FD.of([0], 3))
+        cover.add(FD.of([1], 3))
+        # {1} -/-> 3 replaces {1} by {1, 2}; {0, 1} is generalized by {0}.
+        assert cover.specialize(FD.of([1], 3)) == (1, 1)
+        assert cover.lhs_masks(3) == [0b001, 0b110]
 
     def test_find_generalizations(self):
         cover = PositiveCover(4, seed_most_general=False)
@@ -178,17 +188,20 @@ class TestPositiveCover:
     def test_to_fd_set_snapshot(self):
         cover = PositiveCover(2)
         snapshot = cover.to_fd_set()
-        cover.remove(FD(0, 0))
+        cover.specialize(FD(0, 0))
         assert FD(0, 0) in snapshot
 
-    def test_custom_index_factory(self):
-        cover = PositiveCover(3, index_factory=BitsetLhsIndex)
-        assert len(cover) == 3
-        # Adding a specialization of the seeded {} -> 1 is correctly blocked.
-        assert not cover.add(FD.of([0], 1))
-        cover.remove(FD(0, 1))
-        assert cover.add(FD.of([0], 1))
-        assert FD.of([0], 1) in cover
+    def test_masks_beyond_one_word(self):
+        cover = PositiveCover(130, seed_most_general=False)
+        wide = FD.of([0, 63, 64, 128], 129)
+        assert cover.add(wide)
+        assert wide in cover and FD.of([0, 63, 64], 129) not in cover
+        assert cover.lhs_masks(129) == [wide.lhs]
+        assert cover.has_generalization(FD.of([0, 1, 63, 64, 128], 129))
+        assert not cover.has_generalization(FD.of([0, 63, 128], 129))
+        assert cover.find_generalizations(FD.of([0, 63, 64, 65, 128], 129)) == [
+            wide.lhs
+        ]
 
 
 class TestMinimalCoverFromFds:

@@ -76,3 +76,16 @@ class TestRead:
         path.write_text("a,b\n")
         loaded = read_csv(path)
         assert loaded.shape == (0, 2)
+
+    def test_byte_order_mark_stripped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
+        loaded = read_csv(path)
+        assert loaded.column_names == ("a", "b")
+        assert loaded.row(0) == ("1", "2")
+
+    def test_duplicate_column_names_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,b,a\n1,2,3\n")
+        with pytest.raises(ValueError, match=r"repeated: \['a'\]"):
+            read_csv(path)
