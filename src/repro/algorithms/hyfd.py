@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from ..core.inversion import Inverter
 from ..core.result import DiscoveryResult, Stopwatch, make_result
-from ..engine.parallel import WorkerPool, agree_masks_sharded
+from ..engine.context import ExecutionContext
+from ..engine.parallel import agree_masks_sharded
 from ..fd import FD, NegativeCover, attrset
 from ..obs import counter, span
 from ..obs.names import (
@@ -89,7 +90,7 @@ class HyFD:
                 while True:
                     swept, novel = self._sweep(data, clusters, distance, ncover,
                                                pending, seen, universe,
-                                               context.pool)
+                                               context)
                     pairs_compared += swept
                     phase_pairs += swept
                     distance += 1
@@ -175,12 +176,13 @@ class HyFD:
         pending: list[FD],
         seen: dict[int, int],
         universe: int,
-        pool: WorkerPool | None = None,
+        context: ExecutionContext,
     ) -> tuple[int, int]:
         """Compare all intra-cluster pairs at ``distance``; return (pairs, novel)."""
         swept = 0
         novel_total = 0
-        if pool is not None and not pool.is_serial:
+        pool = context.pool
+        if not pool.is_serial:
             # Parallel sweep: concatenate every cluster's pairs in cluster
             # order and fan the one big comparison out across the pool.
             # Mask order equals the serial per-cluster loop's, so the
@@ -193,7 +195,9 @@ class HyFD:
                 swept += len(rows) - distance
                 rows_a.extend(rows[:-distance])
                 rows_b.extend(rows[distance:])
-            masks = agree_masks_sharded(pool, data, rows_a, rows_b)
+            masks = agree_masks_sharded(
+                pool, data, rows_a, rows_b, context.backend
+            )
             for agree in masks:
                 novel = (universe & ~agree) & ~seen.get(agree, 0)
                 if novel:

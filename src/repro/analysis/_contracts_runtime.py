@@ -40,10 +40,10 @@ dataflow rules (RPR107/RPR108) into the sanitized tree:
 * ``live_resources`` (on ``WorkerPool.close``) — the runtime half of the
   typestate rules (RPR109–RPR111).  Per call it asserts the closed pool
   really released everything (no surviving publications or executor) and
-  that no ``repro_shm_<pid>_*`` segment of this process lingers in
-  ``/dev/shm`` without a live owning pool; installing the probe also
+  that no ``repro_mmap_<pid>_*`` file of this process lingers in the
+  temp directory without a live owning pool; installing the probe also
   registers a process-exit check (running after ``close_all_pools``)
-  that asserts zero surviving own-pid segments and a balanced
+  that asserts zero surviving own-pid files and a balanced
   ``use_context`` stack, exiting non-zero on violation so CI fails.
 
 Probes budget separately (``REPRO_PROBES_MAX_CHECKS``, default 32 — they
@@ -174,28 +174,28 @@ def _check_fold_overflow(
         )
 
 
-def _segment_prefix(package: str) -> str:
-    """The engine's shared-memory name prefix, read from its shm module."""
+def _file_prefix(package: str) -> str:
+    """The engine's mmap-file name prefix, read from its transport module."""
     import sys
 
-    shm = sys.modules.get(package + ".shm")
-    return getattr(shm, "SEGMENT_PREFIX", "repro_shm_")
+    transport = sys.modules.get(package + ".transport")
+    return getattr(transport, "MMAP_PREFIX", "repro_mmap_")
 
 
-def _own_segments(prefix: str) -> set[str]:
-    """``/dev/shm`` entries this process created (empty off-Linux)."""
-    directory = "/dev/shm"
-    if not os.path.isdir(directory):
-        return set()
+def _own_files(prefix: str) -> set[str]:
+    """Temp-directory entries with ``prefix`` this process created."""
+    import tempfile
+
+    directory = tempfile.gettempdir()
     marker = f"{prefix}{os.getpid()}_"
     try:
         return {name for name in os.listdir(directory) if name.startswith(marker)}
-    except OSError:  # pragma: no cover - directory vanished mid-scan
+    except OSError:  # pragma: no cover - directory missing or unreadable
         return set()
 
 
-def _pool_owned_segments(pool_type: type) -> set[str]:
-    """Segment names some live pool still legitimately owns."""
+def _pool_owned_files(pool_type: type) -> set[str]:
+    """File names some live pool still legitimately owns."""
     import gc
 
     owned: set[str] = set()
@@ -203,9 +203,9 @@ def _pool_owned_segments(pool_type: type) -> set[str]:
         if not isinstance(candidate, pool_type):
             continue
         for entry in list(getattr(candidate, "_published", {}).values()):
-            name = getattr(entry[1], "name", None)
-            if name:
-                owned.add(name)
+            path = getattr(entry[1], "path", None)
+            if path:
+                owned.add(os.path.basename(path))
     return owned
 
 
@@ -213,25 +213,25 @@ def _check_live_resources(
     func: Callable, args: tuple, kwargs: dict, result: object
 ) -> None:
     """After ``close()``: the pool holds nothing, and every surviving
-    own-pid segment belongs to some other still-open pool."""
+    own-pid mmap file belongs to some other still-open pool."""
     if kwargs or len(args) != 1:
         return
     pool = args[0]
     if getattr(pool, "_published", None):
         raise ProbeViolation(
-            "WorkerPool.close: shared-memory publications survived close()"
+            "WorkerPool.close: mmap publications survived close()"
         )
     if getattr(pool, "_executor", None) is not None:
         raise ProbeViolation("WorkerPool.close: the executor survived close()")
     package = type(pool).__module__.rsplit(".", 1)[0]
-    leftovers = _own_segments(_segment_prefix(package))
+    leftovers = _own_files(_file_prefix(package))
     if not leftovers:
         return
-    orphans = leftovers - _pool_owned_segments(type(pool))
+    orphans = leftovers - _pool_owned_files(type(pool))
     if orphans:
         raise ProbeViolation(
-            "WorkerPool.close: shared-memory segment(s) with no live "
-            f"owning pool remain in /dev/shm: {sorted(orphans)}"
+            "WorkerPool.close: mmap file(s) with no live owning pool "
+            f"remain in the temp directory: {sorted(orphans)}"
         )
 
 
@@ -239,7 +239,7 @@ _EXIT_CHECK = {"registered": False}
 
 
 def _exit_live_resources_check(module_name: str) -> None:
-    """Process-exit assertion: no own-pid segments, balanced contexts.
+    """Process-exit assertion: no own-pid mmap files, balanced contexts.
 
     Runs after ``close_all_pools`` (registered earlier, so LIFO ordering
     runs it first).  A violation prints the probe failure and exits
@@ -251,11 +251,10 @@ def _exit_live_resources_check(module_name: str) -> None:
     gc.collect()  # run __del__ closers of directly-constructed pools
     package = module_name.rsplit(".", 1)[0]
     problems: list[str] = []
-    leftovers = _own_segments(_segment_prefix(package))
+    leftovers = _own_files(_file_prefix(package))
     if leftovers:
         problems.append(
-            f"shared-memory segment(s) leaked past interpreter exit: "
-            f"{sorted(leftovers)}"
+            f"mmap file(s) leaked past interpreter exit: {sorted(leftovers)}"
         )
     context = sys.modules.get(package + ".context")
     stack = getattr(getattr(context, "_ACTIVE", None), "stack", None)

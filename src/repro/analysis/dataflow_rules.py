@@ -252,7 +252,7 @@ class ParallelStateEscapeRule(ProjectRule):
         "fix: return per-chunk data and merge on the coordinator"
     )
 
-    _ALLOWED_FILES = ("engine/parallel.py", "engine/shm.py")
+    _ALLOWED_FILES = ("engine/parallel.py", "engine/transport.py")
     #: fan-out entry points -> index of the task-function argument
     _FAN_OUT = {"map_chunks": 0, "run_cells_sharded": 1}
 

@@ -1,11 +1,11 @@
 """The typestate (resource-lifecycle) rules: RPR109–RPR111.
 
 The engine manages half a dozen acquire/release protocols by convention:
-a published shared-memory segment must be closed *and then* unlinked, a
+a published mmap-backed matrix file must be closed *and then* unlinked, a
 :class:`WorkerPool` must be closed, ``obs`` spans and ``use_context``
 frames must exit as many times as they enter.  Once the engine serves
 long-lived processes those conventions stop being self-healing — a
-leaked segment no longer dies with the interpreter — so this module
+leaked temp file no longer dies with the interpreter — so this module
 checks them statically on PR 6's CFG/dataflow layer:
 
 ========  ============================================================
@@ -34,7 +34,7 @@ those).  Ownership transfer is declared, not guessed, with the
 to the arguments it is handed.
 
 The runtime mirror of RPR109 is the ``live_resources`` probe installed
-by ``--sanitize`` (zero live ``repro_shm_*`` segments and a balanced
+by ``--sanitize`` (zero live ``repro_mmap_*`` files and a balanced
 context stack at exit); the state machines and grammar are documented
 in DESIGN.md ("Typestate layer").
 """
@@ -77,11 +77,6 @@ class Protocol:
 
 #: The declarative protocol registry (DESIGN.md "Typestate layer").
 PROTOCOLS: dict[str, Protocol] = {
-    "shm-segment": Protocol(
-        "shm-segment",
-        ("close", "unlink"),
-        "shared-memory segment: close the mapping, then unlink the name",
-    ),
     "mmap-matrix": Protocol(
         "mmap-matrix",
         ("close", "unlink"),
@@ -92,7 +87,7 @@ PROTOCOLS: dict[str, Protocol] = {
         "worker-pool",
         ("close",),
         "engine WorkerPool: close() shuts the executor down and unlinks "
-        "published segments",
+        "published mmap files",
     ),
     "executor": Protocol(
         "executor", ("shutdown",), "concurrent.futures executor"
@@ -158,15 +153,6 @@ def acquired_protocol(call: ast.Call) -> str | None:
         name, root = func.attr, _root_name(func.value)
     else:
         return None
-    if name == "SharedMemory":
-        for keyword in call.keywords:
-            if (
-                keyword.arg == "create"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            ):
-                return "shm-segment"
-        return None  # attach-only: the creator owns the segment
     if name == "open":
         # os.open returns a raw fd managed elsewhere (dup2 piping etc.)
         return None if root == "os" else "file"
@@ -261,7 +247,7 @@ def _lifecycle_summaries(
     """Per function: the release steps its body applies to each parameter.
 
     One-level and flow-insensitive by design (the RPR107 pattern): a
-    helper like ``_discard_segment(segment)`` is summarized as applying
+    helper like ``_discard_mmap_segment(segment)`` is summarized as applying
     ``("close", "unlink")`` to ``segment``, so callers see the handoff
     release its resource instead of conservatively escaping it.
     """
@@ -525,7 +511,7 @@ class _LifecycleAnalysis(ForwardAnalysis):
     ) -> list[_StepApplication]:
         """Release-step sites in one statement: direct ``x.close()`` /
         ``cleanup()`` calls plus steps applied through summarized
-        callees (``_discard_segment(segment)``)."""
+        callees (``_discard_mmap_segment(segment)``)."""
         found: list[_StepApplication] = []
         for call in _stmt_calls(node):
             func = call.func
@@ -1117,7 +1103,7 @@ class ResourceLeakRule(_LifecycleRule):
     code = "RPR109"
     name = "resource-leak-on-path"
     rationale = (
-        "an owned resource (shm segment, WorkerPool, executor, file, "
+        "an owned resource (mmap file, WorkerPool, executor, file, "
         "span/context frame, cleanup callable) must be released or have "
         "its ownership transfer declared (`Owns:`/`Borrows:`) on every "
         "path — including exception edges, early returns, and "
@@ -1125,10 +1111,11 @@ class ResourceLeakRule(_LifecycleRule):
         "gets the interpreter-exit amnesty"
     )
     example = (
-        "    segment = SharedMemory(create=True, size=n)\n"
-        "    view = np.ndarray(shape, dtype, buffer=segment.buf)  # RPR109\n"
-        "    view[:] = matrix   # a raise above leaks the segment\n"
-        "fix: wrap the fill in try/except that closes+unlinks and\n"
+        "    segment = MmapSegment(path)\n"
+        "    segment.write_column(payload)  # RPR109: a raise here\n"
+        "    segment.close()                #   leaks the temp file\n"
+        "    segment.unlink()\n"
+        "fix: wrap the write in try/except that closes+unlinks and\n"
         "re-raises, or hand the segment to a declared `Owns:` sink"
     )
 
@@ -1154,7 +1141,7 @@ class ReleaseProtocolRule(_LifecycleRule):
     code = "RPR111"
     name = "release-protocol-violation"
     rationale = (
-        "release steps are ordered state machines: a shm segment is "
+        "release steps are ordered state machines: an mmap file is "
         "close-then-unlink, never unlink-first and never twice; a "
         "`Borrows:` parameter must not be released at all — the caller "
         "still owns it"

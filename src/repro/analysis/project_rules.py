@@ -31,8 +31,8 @@ from .purity import analyze_project_mutations
 #: without creating upward edges.  ``fd``/``relation`` are one layer
 #: (mutually acyclic at module level: ``fd/armstrong`` builds relations,
 #: ``relation/validate`` speaks FDs).  ``engine`` covers the whole
-#: execution layer including ``engine.parallel``/``engine.shm`` — the
-#: worker pool imports only ``relation`` kernels and ``obs``, so the
+#: execution layer including ``engine.parallel``/``engine.transport`` —
+#: the worker pool imports only ``relation`` kernels and ``obs``, so the
 #: samplers and algorithms above it may fan work out without an upward
 #: edge (and RPR105 keeps the raw concurrency imports confined there).
 PACKAGE_LAYERS: dict[str, int] = {

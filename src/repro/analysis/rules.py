@@ -19,7 +19,7 @@ RPR104    clock discipline — outside ``obs``/``metrics``, wall
           direct ``time.time()``/``time.perf_counter()`` calls
 RPR105    parallelism encapsulation — ``multiprocessing`` and
           ``concurrent.futures`` are imported only by
-          ``engine/parallel.py`` and ``engine/shm.py``; everyone
+          ``engine/parallel.py`` and ``engine/transport.py``; everyone
           else goes through the :class:`WorkerPool` API
 RPR113    encoded-width discipline — no ``astype(np.int64)`` /
           ``np.int64(...)`` widening of label data on the hot
@@ -590,22 +590,23 @@ class ParallelismEncapsulationRule(Rule):
     merge by chunk index, stateful merges on the coordinator) only holds
     because every fan-out goes through :class:`repro.engine.WorkerPool`.
     A stray ``ProcessPoolExecutor`` in an algorithm would reintroduce
-    completion-order nondeterminism and dodge the pool's shared-memory
+    completion-order nondeterminism and dodge the pool's mmap-transport
     lifecycle and telemetry, so raw ``multiprocessing`` /
     ``concurrent.futures`` imports are confined to the two modules that
-    implement the pool: ``engine/parallel.py`` and ``engine/shm.py``.
+    implement the pool: ``engine/parallel.py`` and
+    ``engine/transport.py``.
     """
 
     code = "RPR105"
     name = "parallelism-encapsulation"
     rationale = (
         "raw multiprocessing/concurrent.futures imports outside "
-        "engine/parallel.py and engine/shm.py bypass the worker pool's "
-        "determinism and shared-memory lifecycle guarantees"
+        "engine/parallel.py and engine/transport.py bypass the worker "
+        "pool's determinism and transport lifecycle guarantees"
     )
     interests = (ast.Import, ast.ImportFrom)
 
-    _ALLOWED_FILES = ("engine/parallel.py", "engine/shm.py")
+    _ALLOWED_FILES = ("engine/parallel.py", "engine/transport.py")
     _FORBIDDEN_ROOTS = frozenset({"multiprocessing", "concurrent"})
 
     def visit(self, node: ast.AST, module: Module) -> Iterator[Finding]:

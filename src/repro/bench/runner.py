@@ -54,7 +54,8 @@ class AlgorithmRun:
     ``parallel_efficiency`` is the run's worker busy time divided by
     ``wall × jobs`` — 1.0 means every worker was saturated for the whole
     run, small values mean the serial coordinator dominated.  ``None``
-    on serial runs and runs whose pool never dispatched a chunk.
+    on serial runs only; a parallel run whose batches all stayed below
+    the dispatch thresholds reports ``0.0`` — its workers never ran.
 
     ``all_seconds`` preserves every repeat's wall time (``seconds`` is
     their median) so downstream consumers — the trajectory harness's
@@ -186,10 +187,10 @@ def _efficiency(
 
     Pure: reads the pool's counters against the captured baselines.
     """
-    if pool.is_serial or wall_seconds <= 0:
+    if pool.is_serial:
         return None
-    if pool.chunks_dispatched == chunks_before:
-        return None  # every batch fell below the dispatch thresholds
+    if pool.chunks_dispatched == chunks_before or wall_seconds <= 0:
+        return 0.0  # every batch fell below the dispatch thresholds
     return (pool.busy_seconds - busy_before) / (wall_seconds * pool.jobs)
 
 

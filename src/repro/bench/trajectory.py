@@ -226,7 +226,7 @@ def record_trajectory(
                         algorithm, relation, repeats, jobs, memory, backend
                     )
     finally:
-        # A crashed workload must still unlink published segments; only
+        # A crashed workload must still unlink published mmap files; only
         # the atexit hook would otherwise stand between us and orphans.
         close_all_pools()
     return {

@@ -17,9 +17,11 @@ Subcommands:
 * ``datasets``  — list the registered benchmark datasets;
 * ``algorithms`` — list the available discovery algorithms.
 
-Exit codes: 0 on success; 2 on a usage error (argparse) or on input the
-CSV reader rejects — a missing, empty or ragged file, or repeated column
-names — which prints one ``error: ...`` line to stderr, no traceback.
+Exit codes: 0 on success; 2 on a usage error (argparse, a malformed
+``--jobs`` included), on input the CSV reader rejects — a missing, empty
+or ragged file, or repeated column names — or on a malformed
+``$REPRO_JOBS`` / ``$REPRO_BACKEND``.  Each prints one ``error: ...``
+line to stderr, no traceback.
 """
 
 from __future__ import annotations
@@ -27,12 +29,19 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .algorithms import available_algorithms, create
 from .bench.runner import GroundTruthCache, format_cell, print_table
 from .datasets import registry
-from .engine import ExecutionContext, backend_names, use_context
+from .engine import (
+    ExecutionContext,
+    PoolSpec,
+    backend_names,
+    get_backend,
+    get_pool,
+    use_context,
+)
 from .metrics import fd_set_metrics, timed
 from .obs import (
     MetricsRegistry,
@@ -50,11 +59,12 @@ from .obs import (
 from .relation import Relation, read_csv, write_csv
 
 EXIT_BAD_INPUT = 2
-"""Exit code for input the CSV reader rejects (argparse uses 2 as well)."""
+"""Exit code for input the CSV reader rejects and malformed engine
+environment variables (argparse uses 2 as well)."""
 
 
 class InputError(Exception):
-    """Input the CLI cannot read; :func:`main` reports it as one line."""
+    """Input or environment the CLI cannot use; reported as one line."""
 
 
 def _read_input(args: argparse.Namespace) -> Relation:
@@ -68,6 +78,32 @@ def _read_input(args: argparse.Namespace) -> Relation:
         )
     except (OSError, ValueError, csv.Error) as exc:
         raise InputError(str(exc)) from exc
+
+
+def _context(
+    relation: Relation, args: argparse.Namespace
+) -> ExecutionContext:
+    """The subcommand's execution context.
+
+    ``--backend`` and ``--jobs`` were checked by argparse; when they are
+    absent (or the subcommand has none) the engine reads
+    ``$REPRO_BACKEND`` / ``$REPRO_JOBS``, whose malformed values become
+    an InputError here.
+    """
+    try:
+        backend = get_backend(getattr(args, "backend", None))
+        pool = get_pool(getattr(args, "jobs", None))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    return ExecutionContext(relation, backend=backend, jobs=pool)
+
+
+def _pool_spec(text: str) -> PoolSpec:
+    """``--jobs`` values: a malformed spec is an argparse usage error."""
+    try:
+        return PoolSpec.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,11 +190,14 @@ def add_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         default=None,
+        type=_pool_spec,
         metavar="SPEC",
         help=(
             "worker pool for pair-sampling and validation: N or "
-            "process:N for a process pool, thread:N for threads, serial "
-            "to force the inline path (default: $REPRO_JOBS or serial)"
+            "process:N for a process pool (each relation reaches the "
+            "workers once, through an mmap'd temp file), thread:N for "
+            "threads, serial to force the inline path (default: "
+            "$REPRO_JOBS or serial)"
         ),
     )
 
@@ -285,10 +324,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         stack.enter_context(collecting_metrics(registry_))
         if not args.no_memory:
             stack.enter_context(memory_profiling())
-        context = ExecutionContext(relation, backend=args.backend, jobs=args.jobs)
+        context = _context(relation, args)
         with use_context(context):
             result = create(args.algorithm).discover(relation)
-        # Snapshot before closing the pool: cleanup decrements the shm
+        # Snapshot before closing the pool: cleanup decrements the mmap
         # gauges, and the scrape should show the run's live state.
         text = (
             prometheus_text(registry_)
@@ -318,7 +357,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_discover(args: argparse.Namespace) -> int:
     relation = _read_input(args)
-    context = ExecutionContext(relation, backend=args.backend, jobs=args.jobs)
+    context = _context(relation, args)
     with use_context(context):
         result = create(args.algorithm).discover(relation)
     if args.json:
@@ -337,7 +376,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .profile import profile_relation
 
     relation = _read_input(args)
-    print(profile_relation(relation).render())
+    with use_context(_context(relation, args)):
+        print(profile_relation(relation).render())
     return 0
 
 
@@ -346,7 +386,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # One execution context for the whole comparison: the ground-truth
     # oracle and every compared algorithm share the preprocessed matrix
     # and partition cache.
-    context = ExecutionContext(relation, backend=args.backend, jobs=args.jobs)
+    context = _context(relation, args)
     with use_context(context):
         truth = GroundTruthCache().truth_for(relation)
         rows = []
@@ -394,7 +434,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         # Context built inside the recording so the preprocess span and
         # the engine.partition_cache.* counters land in the trace.
         with use_context(
-            ExecutionContext(relation, backend=args.backend, jobs=args.jobs)
+            _context(relation, args)
         ):
             result = create(args.algorithm).discover(relation)
     if args.trace_out is not None:
@@ -454,13 +494,20 @@ _HANDLERS = {
 }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(
+    handler: Callable[[argparse.Namespace], int], args: argparse.Namespace
+) -> int:
+    """Run one subcommand, reporting an InputError as one line, exit 2."""
     try:
-        return _HANDLERS[args.command](args)
+        return handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return _run(_HANDLERS[args.command], args)
 
 
 def trace_main(argv: Sequence[str] | None = None) -> int:
@@ -470,7 +517,7 @@ def trace_main(argv: Sequence[str] | None = None) -> int:
         description="Trace an FD-discovery run and export the observability log",
     )
     add_trace_arguments(parser)
-    return _cmd_trace(parser.parse_args(argv))
+    return _run(_cmd_trace, parser.parse_args(argv))
 
 
 def metrics_main(argv: Sequence[str] | None = None) -> int:
@@ -483,7 +530,7 @@ def metrics_main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     add_metrics_arguments(parser)
-    return _cmd_metrics(parser.parse_args(argv))
+    return _run(_cmd_metrics, parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

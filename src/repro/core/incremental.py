@@ -40,7 +40,7 @@ from ..engine.backends import Backend
 from ..engine.context import ExecutionContext
 from ..engine.parallel import WorkerPool, agree_masks_sharded
 from ..fd import FD, NegativeCover, attrset
-from ..obs import counter, metric_inc, metric_time, span
+from ..obs import metric_inc, metric_time, span, tally
 from ..obs.names import (
     INCREMENTAL_PAIRS_COMPARED,
     INCREMENTAL_APPEND_SECONDS,
@@ -217,11 +217,10 @@ class IncrementalEulerFD:
         else:
             rows_a = rows_b = np.empty(0, dtype=np.intp)
         self.pairs_compared += int(rows_a.size)
-        counter(INCREMENTAL_PAIRS_COMPARED, int(rows_a.size))
-        metric_inc(INCREMENTAL_PAIRS_COMPARED, float(rows_a.size))
+        tally(INCREMENTAL_PAIRS_COMPARED, int(rows_a.size))
         if rows_a.size:
             masks = agree_masks_sharded(
-                self.pool, data, rows_a, rows_b, backend=self.context.backend
+                self.pool, data, rows_a, rows_b, self.context.backend
             )
             for agree in masks:
                 self._admit(agree, self._universe & ~agree, pending)

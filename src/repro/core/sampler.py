@@ -370,14 +370,14 @@ class SamplingModule:
             rows_b = rows[window - 1 :]
         new_count = 0
         seen = self._seen
-        if self._pool is not None:
-            masks = agree_masks_sharded(
-                self._pool, self.data, rows_a, rows_b, backend=self._backend
-            )
-        elif self._backend is not None:
+        if self._backend is None:
+            masks = self.data.agree_masks_bulk(rows_a, rows_b)
+        elif self._pool is None:
             masks = self._backend.agree_masks(self.data, rows_a, rows_b)
         else:
-            masks = self.data.agree_masks_bulk(rows_a, rows_b)
+            masks = agree_masks_sharded(
+                self._pool, self.data, rows_a, rows_b, self._backend
+            )
         for agree in masks:
             # Single seen-dict lookup per mask: the update reuses the
             # read (benchmarks/record_baseline.py times this micro-win).

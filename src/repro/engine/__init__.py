@@ -18,12 +18,11 @@ validation work behind a pluggable :class:`Backend`:
 * :class:`WorkerPool` (:mod:`repro.engine.parallel`) — sharded
   pair-sampling and validation across serial/thread/process executors,
   selected via ``--jobs`` on the CLIs or the ``REPRO_JOBS`` environment
-  variable, with the label matrix shipped to process workers once over
-  shared memory (:mod:`repro.engine.shm`) — or, for the columnar
-  backend, the encoded matrix written once to a memory-mapped temp
-  file that workers attach to without any copy; chunk plans are fixed
-  and merges happen by chunk index, so results are byte-identical at
-  any worker count.
+  variable, with each relation shipped to process workers once, as its
+  columnar encoding written to a memory-mapped temp file that workers
+  attach to without any copy (:mod:`repro.engine.transport`), whatever
+  the backend; chunk plans are fixed and merges happen by chunk index,
+  so results are byte-identical at any worker count.
 
 Callers running several algorithms over one dataset install a shared
 context with :func:`use_context`; ``discover(relation)`` implementations

@@ -19,9 +19,14 @@ Three implementations ship:
   :class:`~repro.relation.preprocess.EncodedMatrix`
   (:mod:`repro.engine.columnar`): radix group-key folds over narrow
   dtypes, sort-free constancy checks, and bit-packed agree masks.
-  Declares ``needs_encoded`` so the execution layer materializes the
-  encoding once (``prepare``) and ships it to process workers over an
-  mmap-backed file instead of the shared-memory matrix copy.
+  Implements ``prepare`` so the execution layer materializes the
+  encoding once, inside the preprocessing phase.
+
+Every backend runs unchanged in process workers: the worker pool ships
+each relation's encoding through one mmap file, and the worker-side
+view (:class:`~repro.engine.transport.EncodedView`) offers both the
+``encoded_matrix()`` the columnar kernels read and the ``matrix`` the
+others read.
 
 Selection order: explicit argument, then the ``REPRO_BACKEND``
 environment variable, then numpy.
@@ -68,10 +73,10 @@ class Backend(Protocol):
     sampling-side kernel: bitmasks of agreeing attributes for a batch of
     tuple pairs, bit-identical across backends.
 
-    Backends that validate over a representation other than the int64
-    label matrix additionally set ``needs_encoded = True`` and implement
-    ``prepare(data)`` to materialize it; the execution layer resolves
-    both via ``getattr`` so plain matrix backends need neither.
+    Backends that validate over a representation other than the label
+    matrix may implement ``prepare(data)`` to materialize it up front;
+    the execution layer resolves it via ``getattr`` so plain matrix
+    backends need not.
     """
 
     name: str
@@ -214,10 +219,6 @@ class ColumnarBackend:
 
     name = "columnar"
 
-    needs_encoded = True
-    """The execution layer materializes (and, for process pools,
-    mmap-publishes) the encoded matrix for this backend."""
-
     def prepare(self, data: PreprocessedRelation) -> None:
         """Materialize the columnar encoding once, ahead of the kernels.
 
@@ -267,15 +268,21 @@ def backend_names() -> list[str]:
 
 
 def get_backend(name: str | Backend | None = None) -> Backend:
-    """Resolve a backend instance from a name, instance, or the environment."""
+    """Resolve a backend instance from a name, instance, or the environment.
+
+    An unknown name raises a ``ValueError``; one read from
+    ``$REPRO_BACKEND`` names the variable.
+    """
     if name is not None and not isinstance(name, str):
         return name
+    source = ""
     if name is None:
         name = os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
+        source = f"${BACKEND_ENV}: "
     try:
         factory = _BACKENDS[name]
     except KeyError:
         raise ValueError(
-            f"unknown backend {name!r}; available: {backend_names()}"
+            f"{source}unknown backend {name!r}; available: {backend_names()}"
         ) from None
     return factory()

@@ -35,11 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..relation.preprocess import (
-    EncodedMatrix,
-    encode_matrix,
-    packed_agree_masks,
-)
+from ..relation.preprocess import EncodedMatrix, packed_agree_masks
 
 _KEY_LIMIT = 1 << 62
 """Re-densify radix keys before the next fold could overflow (mirrors
@@ -66,16 +62,13 @@ class ColumnarKeys:
 
 
 def encoded_of(data: object) -> EncodedMatrix:
-    """The :class:`EncodedMatrix` behind any relation-like object.
+    """The :class:`EncodedMatrix` behind a relation or a worker's view.
 
-    ``PreprocessedRelation`` and the worker-side views expose
-    ``encoded_matrix()``; anything else (a bare shared-memory
-    ``MatrixView``) is encoded on the fly as a correctness fallback.
+    ``PreprocessedRelation`` materializes it once and caches it; the
+    worker-side :class:`~repro.engine.transport.EncodedView` holds the
+    published one.
     """
-    getter = getattr(data, "encoded_matrix", None)
-    if getter is not None:
-        return getter()
-    return encode_matrix(data.matrix)
+    return data.encoded_matrix()
 
 
 def _densified(keys: np.ndarray) -> tuple[np.ndarray, int]:

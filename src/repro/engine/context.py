@@ -26,7 +26,7 @@ from collections.abc import Iterator, Sequence
 
 from ..fd import attrset
 from ..fd.fd import FD
-from ..obs import counter, metric_inc, metric_time, phase_memory, span
+from ..obs import metric_time, phase_memory, span, tally
 from ..obs.names import (
     MEM_PHASE_PREPROCESS,
     VALIDATE_BATCH_SECONDS,
@@ -231,7 +231,7 @@ class ExecutionContext:
                 and len(groups) >= pool.jobs * MIN_GROUPS_PER_WORKER
             ):
                 for index, holds, pair in validate_groups_sharded(
-                    pool, self.data, self.backend.name, groups, witnesses
+                    pool, self.data, self.backend, groups, witnesses
                 ):
                     results[index] = Validation(
                         fds[index], holds, pair if witnesses else None
@@ -246,10 +246,8 @@ class ExecutionContext:
                         else:
                             holds = self.backend.constant_on(self.data, keys, rhs)
                             results[index] = Validation(fds[index], holds)
-            counter(VALIDATE_CANDIDATES, len(fds))
-            counter(VALIDATE_LHS_FOLDS, len(groups))
-            metric_inc(VALIDATE_CANDIDATES, float(len(fds)))
-            metric_inc(VALIDATE_LHS_FOLDS, float(len(groups)))
+            tally(VALIDATE_CANDIDATES, len(fds))
+            tally(VALIDATE_LHS_FOLDS, len(groups))
         return [v for v in results if v is not None]
 
     def __repr__(self) -> str:

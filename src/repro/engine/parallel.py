@@ -27,18 +27,23 @@ Execution modes, selected via ``--jobs`` on the CLIs or ``$REPRO_JOBS``:
 ``serial`` / ``1`` / unset  no executor, plain loop — the default; behaviour
                             (including traces) is bit-for-bit the pre-parallel
                             code path
-``N`` / ``process:N``       ``ProcessPoolExecutor`` with N workers; the label
-                            matrix ships once via shared memory
-                            (:mod:`repro.engine.shm`), tasks carry only row
-                            indices
-``thread:N``                ``ThreadPoolExecutor`` with N workers; no matrix
-                            shipping (shared address space), useful where the
-                            kernels release the GIL or processes are banned
+``N`` / ``process:N``       ``ProcessPoolExecutor`` with N workers; the
+                            relation's columnar encoding ships once through
+                            an mmap'd temp file (:mod:`repro.engine.transport`),
+                            tasks carry only row indices
+``thread:N``                ``ThreadPoolExecutor`` with N workers; tasks get
+                            the relation itself (shared address space), useful
+                            where the kernels release the GIL or processes are
+                            banned
 ========================  ====================================================
+
+Every task body resolves its relation through
+:func:`~repro.engine.transport.resolve_view` and calls the context's
+backend, so one task serves every backend and every pool kind.
 
 Pools are cached per spec (:func:`get_pool`) so repeated contexts reuse
 one executor, and every pool is closed at interpreter exit — shutting
-down executors and unlinking published shared-memory segments.
+down executors and unlinking published mmap files.
 """
 
 from __future__ import annotations
@@ -51,14 +56,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
-from ..obs import (
-    counter,
-    metric_gauge_add,
-    metric_gauge_set,
-    metric_inc,
-    monotonic,
-    span,
-)
+from ..obs import metric_gauge_add, metric_gauge_set, monotonic, span, tally
 from ..obs.names import (
     POOL_BUSY_SECONDS,
     POOL_CHUNKS,
@@ -66,18 +64,9 @@ from ..obs.names import (
     POOL_TASKS,
     POOL_WORKERS,
 )
-from ..relation.preprocess import (
-    agree_masks_from_matrix,
-    distinct_agree_masks_range,
-)
-from .columnar import agree_masks_from_encoded, encoded_of
-from .shm import (
-    publish_encoded,
-    publish_matrix,
-    resolve_encoded,
-    resolve_matrix,
-    resolve_view,
-)
+from ..relation.preprocess import distinct_agree_masks_range
+from .columnar import encoded_of
+from .transport import publish_encoded, resolve_view
 
 JOBS_ENV = "REPRO_JOBS"
 """Environment variable supplying the default worker-pool spec."""
@@ -122,11 +111,19 @@ class PoolSpec:
         ``None``, ``""``, ``"serial"`` and ``1`` mean serial; a bare
         number means a process pool with that many workers; ``kind:N``
         selects the executor explicitly (``thread:4``, ``process:2``).
+        Anything else raises a ``ValueError`` naming the spec.
 
         Pure: builds a fresh spec from the value.
         """
         if isinstance(spec, PoolSpec):
             return spec
+        try:
+            return cls._from_value(spec)
+        except ValueError as exc:
+            raise ValueError(f"invalid pool spec {spec!r}: {exc}") from None
+
+    @classmethod
+    def _from_value(cls, spec: "int | str | None") -> "PoolSpec":
         if spec is None:
             return cls(SERIAL, 1)
         if isinstance(spec, int):
@@ -136,20 +133,40 @@ class PoolSpec:
             return cls(SERIAL, 1)
         if ":" in text:
             kind, count = text.split(":", 1)
-            return cls(kind, int(count))
+            return cls(kind, _worker_count(count))
         if text in (THREAD, PROCESS):
             return cls(text, max(os.cpu_count() or 1, 2))
-        return cls.parse(int(text))
+        return cls._from_value(_worker_count(text))
+
+
+def _worker_count(text: str) -> int:
+    """The ``N`` of a pool spec; a non-integer is a ValueError.
+
+    Pure: parses the string only.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"{text!r} is not a worker count "
+            "(expected serial, N, thread[:N] or process[:N])"
+        ) from None
 
 
 def resolve_spec(jobs: "int | str | PoolSpec | None" = None) -> PoolSpec:
     """Resolution order: explicit argument, ``$REPRO_JOBS``, serial.
 
+    A malformed ``$REPRO_JOBS`` raises a ``ValueError`` naming the
+    variable.
+
     Pure: reads the environment only.
     """
     if jobs is not None:
         return PoolSpec.parse(jobs)
-    return PoolSpec.parse(os.environ.get(JOBS_ENV) or None)
+    try:
+        return PoolSpec.parse(os.environ.get(JOBS_ENV) or None)
+    except ValueError as exc:
+        raise ValueError(f"${JOBS_ENV}: {exc}") from None
 
 
 # -- deterministic chunk plans -------------------------------------------------
@@ -213,32 +230,23 @@ def _timed(fn: Callable[..., Any], *args: Any) -> tuple[Any, float]:
 
 
 def _agree_masks_task(
-    handle: object, rows_a: Sequence[int], rows_b: Sequence[int]
+    source: object, backend: Any, rows_a: Sequence[int], rows_b: Sequence[int]
 ) -> tuple[list[int], float]:
-    """Worker: agree masks of one pair chunk, in pair order."""
-    matrix = resolve_matrix(handle)
-    return _timed(agree_masks_from_matrix, matrix, list(rows_a), list(rows_b))
-
-
-def _agree_masks_encoded_task(
-    handle: object, rows_a: Sequence[int], rows_b: Sequence[int]
-) -> tuple[list[int], float]:
-    """Worker: agree masks of one pair chunk over the columnar encoding."""
-    encoded = resolve_encoded(handle)
-    return _timed(agree_masks_from_encoded, encoded, list(rows_a), list(rows_b))
+    """Worker: the backend's agree masks of one pair chunk, in pair order."""
+    return _timed(backend.agree_masks, resolve_view(source), rows_a, rows_b)
 
 
 def _distinct_masks_task(
-    handle: object, start: int, stop: int
+    source: object, start: int, stop: int
 ) -> tuple[list[int], float]:
     """Worker: distinct agree masks of one anchor range, first-seen order."""
-    matrix = resolve_matrix(handle)
+    matrix = resolve_view(source).matrix
     return _timed(distinct_agree_masks_range, matrix, start, stop)
 
 
 def _validate_task(
-    handle: object,
-    backend_name: str,
+    source: object,
+    backend: Any,
     groups: list[tuple[int, list[tuple[int, int]]]],
     witnesses: bool,
 ) -> tuple[list[tuple[int, bool, tuple[int, int] | None]], float]:
@@ -250,11 +258,8 @@ def _validate_task(
     triples tagged with the coordinator's indices, so the merge is a
     plain indexed store regardless of chunk boundaries.
     """
-    from .backends import get_backend
-
     start = monotonic()
-    data = resolve_view(handle)
-    backend = get_backend(backend_name)
+    data = resolve_view(source)
     out: list[tuple[int, bool, tuple[int, int] | None]] = []
     for lhs, members in groups:
         keys = backend.group_keys(data, lhs)
@@ -278,20 +283,20 @@ def _call_task(
 
 
 class WorkerPool:
-    """A deterministic chunk executor with a published-matrix cache.
+    """A deterministic chunk executor with a published-relation cache.
 
-    The pool owns three things: the (lazily created) executor, the
-    shared-memory publications of label matrices it has shipped to
-    process workers, and the busy-time/task accounting surfaced as
-    ``engine.parallel.*`` telemetry and ``parallel_efficiency``.
+    The pool owns three things: the (lazily created) executor, the mmap
+    publications of the relations it has shipped to process workers,
+    and the busy-time/task accounting surfaced as ``engine.parallel.*``
+    telemetry and ``parallel_efficiency``.
     """
 
     def __init__(self, spec: "PoolSpec | int | str | None" = None) -> None:
         self.spec = PoolSpec.parse(spec) if not isinstance(spec, PoolSpec) else spec
         self._executor: Executor | None = None
-        # id(matrix) -> (weakref to the matrix, handle, cleanup); the id
-        # is re-validated through the weakref so a recycled id can never
-        # alias a dead matrix's segment.
+        # id(encoding) -> (weakref to the encoding, handle, cleanup); the
+        # id is re-validated through the weakref so a recycled id can
+        # never alias a dead encoding's file.
         self._published: dict[int, tuple[weakref.ref, object, Callable[[], None]]] = {}
         self.tasks_dispatched = 0
         self.chunks_dispatched = 0
@@ -375,80 +380,51 @@ class WorkerPool:
             for future in futures:
                 payload, elapsed = future.result()
                 self.busy_seconds += elapsed
-                counter(POOL_BUSY_SECONDS, elapsed)
-                metric_inc(POOL_BUSY_SECONDS, elapsed)
+                tally(POOL_BUSY_SECONDS, elapsed)
                 metric_gauge_add(POOL_QUEUE_DEPTH, -1.0)
                 results.append(payload)
         self.tasks_dispatched += 1
         self.chunks_dispatched += len(tasks)
-        counter(POOL_TASKS)
-        counter(POOL_CHUNKS, len(tasks))
-        metric_inc(POOL_TASKS)
-        metric_inc(POOL_CHUNKS, float(len(tasks)))
+        tally(POOL_TASKS)
+        tally(POOL_CHUNKS, len(tasks))
         return results
 
-    # -- matrix shipping --------------------------------------------------
+    # -- relation shipping ------------------------------------------------
 
-    def matrix_handle(self, matrix: Any) -> object:
-        """The transport handle workers resolve the matrix through.
+    def publish(self, data: Any) -> object:
+        """What a worker task receives to reach the relation ``data``.
 
-        Serial and thread pools hand the array over in-process; process
-        pools publish it into shared memory once (pickle fallback when
-        the platform lacks it) and reuse the publication for the
-        matrix's lifetime.
+        Serial and thread pools share the coordinator's address space:
+        the relation itself.  Process pools write its columnar encoding
+        once to an mmap-backed temp file (inline fallback when the temp
+        dir is unwritable) and reuse the handle for the encoding's
+        lifetime.
         """
-        from .shm import InlineMatrix
-
         if self.kind != PROCESS:
-            return InlineMatrix(matrix)
-        return self._publish_once(matrix, publish_matrix)
-
-    def encoded_handle(self, encoded: Any) -> object:
-        """The transport handle workers resolve an encoded matrix through.
-
-        The columnar counterpart of :meth:`matrix_handle`: serial and
-        thread pools hand the encoding over in-process; process pools
-        write it once to an mmap-backed temp file (inline fallback when
-        the temp dir is unwritable) and reuse the publication for the
-        encoding's lifetime.
-        """
-        from .shm import InlineEncoded
-
-        if self.kind != PROCESS:
-            return InlineEncoded(encoded)
-        return self._publish_once(encoded, publish_encoded)
-
-    def _publish_once(
-        self, payload: Any, publish: Callable[[Any], tuple[object, Callable[[], None]]]
-    ) -> object:
-        """Publish ``payload`` once and reuse the handle until it dies."""
+            return data
         if self._closed:
             # A closed pool must fail loudly here: publishing would
-            # orphan the segment/file (close() already ran and never
-            # reruns), turning a stale-context bug into a resource leak.
+            # orphan the file (close() already ran and never reruns),
+            # turning a stale-context bug into a resource leak.
             raise RuntimeError("worker pool is closed")
-        key = id(payload)
+        encoded = encoded_of(data)
+        key = id(encoded)
         entry = self._published.get(key)
-        if entry is not None and entry[0]() is payload:
+        if entry is not None and entry[0]() is encoded:
             return entry[1]
-        handle, cleanup = publish(payload)
+        handle, cleanup = publish_encoded(encoded)
 
         def _forget(_ref: weakref.ref, key: int = key) -> None:
             self._published.pop(key, None)
             cleanup()
 
-        try:
-            ref = weakref.ref(payload, _forget)
-        except TypeError:  # pragma: no cover - non-weakrefable buffers
-            ref = (lambda m: (lambda: m))(payload)  # keep alive instead
-        self._published[key] = (ref, handle, cleanup)
+        self._published[key] = (weakref.ref(encoded, _forget), handle, cleanup)
         return handle
 
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the executor down and unlink every publication — shm
-        segments and mmap-backed encoded files alike.
+        """Shut the executor down and unlink every published mmap file.
 
         Mutates: self
         """
@@ -458,9 +434,9 @@ class WorkerPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        # Every segment must get its unlink attempt: close() never reruns
+        # Every file must get its unlink attempt: close() never reruns
         # (_closed is already set), so aborting this loop on the first
-        # failing cleanup would orphan every segment after it.
+        # failing cleanup would orphan every file after it.
         error: Exception | None = None
         for _, _, cleanup in list(self._published.values()):
             try:
@@ -504,7 +480,7 @@ def get_pool(jobs: "int | str | PoolSpec | None" = None) -> WorkerPool:
 
     Pools are cached per parsed spec so every context asking for
     ``--jobs 4`` reuses one executor and one published copy of each
-    matrix; :func:`close_all_pools` runs at interpreter exit.
+    relation; :func:`close_all_pools` runs at interpreter exit.
     """
     spec = resolve_spec(jobs)
     pool = _POOLS.get(spec)
@@ -515,7 +491,7 @@ def get_pool(jobs: "int | str | PoolSpec | None" = None) -> WorkerPool:
 
 
 def close_all_pools() -> None:
-    """Close every cached pool (executors down, shm segments unlinked)."""
+    """Close every cached pool (executors down, mmap files unlinked)."""
     error: Exception | None = None
     for pool in list(_POOLS.values()):
         try:
@@ -538,35 +514,30 @@ def agree_masks_sharded(
     data: Any,
     rows_a: Sequence[int],
     rows_b: Sequence[int],
-    backend: Any = None,
+    backend: Any,
 ) -> list[int]:
-    """Agree masks of a tuple-pair list, fanned out across the pool.
+    """The backend's agree masks of a tuple-pair list, fanned out across
+    the pool.
 
     Pair order is preserved exactly (chunks are contiguous slices merged
     by index), so consumers folding the masks into seen-dicts and covers
     observe the serial sequence.  Small batches — fewer than ``jobs ×``
     :data:`MIN_PAIRS_PER_WORKER` pairs — run inline: the comparison is
-    one vectorized numpy call and not worth a dispatch.
-
-    ``backend`` selects the mask kernel: ``None`` keeps the historical
-    matrix path bit-for-bit; a backend with ``needs_encoded`` (columnar)
-    computes masks over the encoding, shipping it to process workers via
-    the mmap path instead of the shared-memory matrix copy.  Mask values
-    are identical either way.
+    one vectorized numpy call and not worth a dispatch.  Mask values are
+    identical across backends (the ``Backend`` protocol), so the backend
+    only picks the kernel.
 
     Borrows: pool
     """
     if pool.is_serial or len(rows_a) < pool.jobs * MIN_PAIRS_PER_WORKER:
-        if backend is not None:
-            return backend.agree_masks(data, rows_a, rows_b)
-        return data.agree_masks_bulk(rows_a, rows_b)
-    chunks = chunk_pairs(list(rows_a), list(rows_b), pool.jobs * CHUNKS_PER_WORKER)
-    if backend is not None and getattr(backend, "needs_encoded", False):
-        handle = pool.encoded_handle(encoded_of(data))
-        tasks = [(handle, chunk_a, chunk_b) for chunk_a, chunk_b in chunks]
-        return merge_chunked(pool.map_chunks(_agree_masks_encoded_task, tasks))
-    handle = pool.matrix_handle(data.matrix)
-    tasks = [(handle, chunk_a, chunk_b) for chunk_a, chunk_b in chunks]
+        return backend.agree_masks(data, rows_a, rows_b)
+    source = pool.publish(data)
+    tasks = [
+        (source, backend, chunk_a, chunk_b)
+        for chunk_a, chunk_b in chunk_pairs(
+            list(rows_a), list(rows_b), pool.jobs * CHUNKS_PER_WORKER
+        )
+    ]
     return merge_chunked(pool.map_chunks(_agree_masks_task, tasks))
 
 
@@ -589,11 +560,11 @@ def distinct_agree_masks_sharded(pool: WorkerPool, data: Any) -> set[int]:
         # set is the kernel's declared return type.
         serial = distinct_agree_masks_range(data.matrix, 0, max(num_rows - 1, 0))
         return set(serial)  # pragma: repro-lint ordered
-    handle = pool.matrix_handle(data.matrix)
+    source = pool.publish(data)
     # Anchor i compares against n-1-i partners: costs fall linearly, so
     # over-partition and let the executor balance the tail.
     tasks = [
-        (handle, start, stop)
+        (source, start, stop)
         for start, stop in chunk_ranges(num_rows - 1, pool.jobs * CHUNKS_PER_WORKER)
     ]
     # Chunks arrive in range order and each reports first-occurrence
@@ -607,7 +578,7 @@ def distinct_agree_masks_sharded(pool: WorkerPool, data: Any) -> set[int]:
 def validate_groups_sharded(
     pool: WorkerPool,
     data: Any,
-    backend_name: str,
+    backend: Any,
     groups: list[tuple[int, list[tuple[int, int]]]],
     witnesses: bool,
 ) -> list[tuple[int, bool, tuple[int, int] | None]]:
@@ -617,20 +588,13 @@ def validate_groups_sharded(
     Groups are chunked contiguously in sorted-LHS order and merged by
     chunk index; each group's keys are folded exactly once inside one
     worker (a group never straddles chunks), preserving the serial
-    fold-per-distinct-LHS accounting.  Backends that validate over the
-    columnar encoding receive it via the mmap path; matrix backends keep
-    the shared-memory copy.
+    fold-per-distinct-LHS accounting.
 
     Borrows: pool
     """
-    from .backends import get_backend
-
-    if getattr(get_backend(backend_name), "needs_encoded", False):
-        handle = pool.encoded_handle(encoded_of(data))
-    else:
-        handle = pool.matrix_handle(data.matrix)
+    source = pool.publish(data)
     tasks = [
-        (handle, backend_name, groups[start:stop], witnesses)
+        (source, backend, groups[start:stop], witnesses)
         for start, stop in chunk_ranges(len(groups), pool.jobs * CHUNKS_PER_WORKER)
     ]
     return merge_chunked(pool.map_chunks(_validate_task, tasks))

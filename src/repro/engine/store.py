@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..fd import attrset
-from ..obs import counter, metric_gauge_set, metric_inc
+from ..obs import metric_gauge_set, metric_inc, tally
 from ..obs.names import (
     INCREMENTAL_STORE_DELTA_APPLIED,
     INCREMENTAL_STORE_DELTA_REBUILT,
@@ -215,19 +215,16 @@ class PartitionStore:
         pinned = self._pinned.get(mask)
         if pinned is not None:
             self.hits += 1
-            counter(PARTITION_CACHE_HIT)
-            metric_inc(PARTITION_CACHE_HIT)
+            tally(PARTITION_CACHE_HIT)
             return pinned
         cached = self._cache.get(mask)
         if cached is not None:
             self._cache.move_to_end(mask)
             self.hits += 1
-            counter(PARTITION_CACHE_HIT)
-            metric_inc(PARTITION_CACHE_HIT)
+            tally(PARTITION_CACHE_HIT)
             return cached
         self.misses += 1
-        counter(PARTITION_CACHE_MISS)
-        metric_inc(PARTITION_CACHE_MISS)
+        tally(PARTITION_CACHE_MISS)
         partition = self._derive(mask)
         self._store(mask, partition)
         return partition
@@ -394,8 +391,7 @@ class PartitionStore:
     def _derive(self, mask: int) -> StrippedPartition:
         """Product of the cheapest cached parent pair covering ``mask``."""
         self.derives += 1
-        counter(PARTITION_CACHE_DERIVE)
-        metric_inc(PARTITION_CACHE_DERIVE)
+        tally(PARTITION_CACHE_DERIVE)
         base_mask, base = self._largest_cached_subset(mask)
         remainder = mask & ~base_mask
         partner = self._cheapest_cover(mask, remainder)
@@ -469,7 +465,6 @@ class PartitionStore:
             self._cached_bytes -= evicted_cost
             self.evictions += 1
             self.evicted_bytes += evicted_cost
-            counter(PARTITION_CACHE_EVICT)
-            metric_inc(PARTITION_CACHE_EVICT)
+            tally(PARTITION_CACHE_EVICT)
             metric_inc(PARTITION_CACHE_EVICTED_BYTES, float(evicted_cost))
         metric_gauge_set(PARTITION_CACHE_RESIDENT_BYTES, float(self.resident_bytes))

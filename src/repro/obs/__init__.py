@@ -6,8 +6,9 @@ benchmark harness — so any module may record into it, and it imports
 nothing from the rest of the package.
 
 Instrumented code calls the module-level helpers (:func:`span`,
-:func:`counter`, :func:`gauge`, :func:`point`); with no recorder
-installed they are no-ops costing one thread-local read, so the
+:func:`counter`, :func:`gauge`, :func:`point`, and :func:`tally` for
+events the metrics registry counts too); with no recorder installed
+they are no-ops costing one thread-local read, so the
 permanently instrumented hot paths stay free in production.  Wrap a run
 in :func:`recording` to capture a full trace, then export it with
 :func:`to_jsonl`, :func:`chrome_trace` (Perfetto / ``chrome://tracing``)
@@ -67,6 +68,7 @@ from .metrics import (
     metrics_jsonl,
     prometheus_name,
     prometheus_text,
+    tally,
     uninstall_metrics,
 )
 from .prof import (
@@ -128,6 +130,7 @@ __all__ = [
     "span",
     "summary_tree",
     "system_clock",
+    "tally",
     "to_jsonl",
     "uninstall",
     "uninstall_metrics",

@@ -653,8 +653,8 @@ def agree_masks_from_matrix(
 
     The matrix-level core of :meth:`PreprocessedRelation.agree_masks_bulk`,
     factored out so worker processes of the parallel execution engine can
-    run it against a shared-memory view of the matrix without rebuilding a
-    :class:`PreprocessedRelation`.
+    run it against the matrix of their published view without rebuilding
+    a :class:`PreprocessedRelation`.
 
     Pure: reads the matrix and row lists only; returns a fresh list.
     """

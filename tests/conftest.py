@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import glob
+import os
+import tempfile
+
 import pytest
 
 from repro.datasets import patients
@@ -26,6 +30,22 @@ def tiny_relation() -> Relation:
         ],
         ["c0", "c1", "c2"],
         name="tiny",
+    )
+
+
+@pytest.fixture()
+def unwritable_tempdir(monkeypatch, tmp_path):
+    """Point the temp directory at a path that does not exist, so the
+    mmap transport cannot create its file and takes the inline fallback."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+
+
+def mmap_files() -> set[str]:
+    """The mmap-transport files currently in the temp directory."""
+    from repro.engine.transport import MMAP_PREFIX
+
+    return set(
+        glob.glob(os.path.join(tempfile.gettempdir(), f"{MMAP_PREFIX}*"))
     )
 
 

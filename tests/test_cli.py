@@ -71,6 +71,37 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestBadEngineSettings:
+    """Malformed ``--jobs`` and engine environment variables give one
+    ``error:`` line and exit 2, no traceback."""
+
+    @pytest.mark.parametrize("spec", ["bogus", "thread:x", "0", "-3"])
+    def test_malformed_jobs_is_a_usage_error(self, patients_csv, capsys, spec):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["discover", patients_csv, f"--jobs={spec}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --jobs: invalid pool spec" in err
+        assert repr(spec) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [("REPRO_JOBS", "bogus"), ("REPRO_BACKEND", "bogus")],
+    )
+    def test_malformed_environment_reports_one_line(
+        self, patients_csv, capsys, monkeypatch, variable, value
+    ):
+        monkeypatch.setenv(variable, value)
+        assert main(["discover", patients_csv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: ${variable}: ")
+        assert "'bogus'" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestDiscoverJson:
     def test_json_output_roundtrips(self, patients_csv, capsys):
         import json

@@ -8,14 +8,13 @@ changes storage width, never label values.
 
 from __future__ import annotations
 
-import glob
 import os
-import tempfile
 
 import numpy as np
 import pytest
 
 import repro.engine.parallel as parallel
+import repro.engine.transport as transport
 from repro.algorithms import create
 from repro.datasets import registry
 from repro.engine import (
@@ -26,7 +25,6 @@ from repro.engine import (
     get_pool,
     use_context,
 )
-from repro.engine import shm
 from repro.engine.columnar import (
     agree_masks_from_encoded,
     encoded_constant_on,
@@ -34,12 +32,11 @@ from repro.engine.columnar import (
     encoded_of,
     encoded_witness,
 )
-from repro.engine.shm import (
+from repro.engine.transport import (
     EncodedView,
     InlineEncoded,
     MmapEncodedRef,
     publish_encoded,
-    resolve_encoded,
     resolve_view,
 )
 from repro.engine.store import (
@@ -53,6 +50,8 @@ from repro.relation.preprocess import (
     dtype_for_cardinality,
     encode_matrix,
 )
+
+from .conftest import mmap_files
 
 
 @pytest.fixture(autouse=True)
@@ -215,7 +214,6 @@ class TestKernelEquivalence:
         data = preprocess(registry.make("bridges", rows=80, seed=1), True)
         backend = get_backend("columnar")
         assert isinstance(backend, ColumnarBackend)
-        assert backend.needs_encoded
         rows_a, rows_b = [0, 1, 2, 3], [4, 5, 6, 7]
         assert backend.agree_masks(data, rows_a, rows_b) == (
             data.agree_masks_bulk(rows_a, rows_b)
@@ -275,21 +273,15 @@ class TestCrossBackendSweep:
 # -- mmap transport ------------------------------------------------------------
 
 
-def _mmap_files():
-    return set(
-        glob.glob(os.path.join(tempfile.gettempdir(), f"{shm.MMAP_PREFIX}*"))
-    )
-
-
 class TestMmapTransport:
     def test_round_trip(self):
         _, encoded = _encoded_of_rows([(i % 5, i, "k") for i in range(100)])
-        before = _mmap_files()
+        before = mmap_files()
         handle, cleanup = publish_encoded(encoded)
         try:
             assert isinstance(handle, MmapEncodedRef)
             assert os.path.exists(handle.path)
-            attached = resolve_encoded(handle)
+            attached = resolve_view(handle).encoded_matrix()
             assert attached.cardinalities == encoded.cardinalities
             assert attached.num_rows == encoded.num_rows
             for j in range(encoded.num_columns):
@@ -297,7 +289,7 @@ class TestMmapTransport:
                 assert attached.column(j).dtype == encoded.column(j).dtype
         finally:
             cleanup()
-        assert _mmap_files() == before
+        assert mmap_files() == before
 
     def test_cleanup_is_idempotent(self):
         _, encoded = _encoded_of_rows([(1, 2), (3, 4)])
@@ -306,11 +298,11 @@ class TestMmapTransport:
         cleanup()
         assert not os.path.exists(handle.path)
 
-    def test_inline_fallback(self):
+    def test_inline_fallback(self, unwritable_tempdir):
         _, encoded = _encoded_of_rows([(1, 2), (3, 4)])
-        handle, cleanup = publish_encoded(encoded, use_mmap=False)
+        handle, cleanup = publish_encoded(encoded)
         assert isinstance(handle, InlineEncoded)
-        assert resolve_encoded(handle) is encoded
+        assert resolve_view(handle).encoded_matrix() is encoded
         cleanup()
 
     def test_empty_relation_round_trip(self):
@@ -319,9 +311,10 @@ class TestMmapTransport:
         encoded = data.encoded_matrix()
         handle, cleanup = publish_encoded(encoded)
         try:
-            attached = resolve_encoded(handle)
+            attached = resolve_view(handle)
             assert attached.num_rows == 0
             assert attached.num_columns == 2
+            assert attached.matrix.shape == (0, 2)
         finally:
             cleanup()
 
@@ -332,23 +325,40 @@ class TestMmapTransport:
         assert view.num_rows == 3
         assert view.num_columns == 2
         assert view.encoded_matrix() is encoded
-        # matrix handles still resolve to the historical MatrixView
-        matrix_view = resolve_view(shm.InlineMatrix(data.matrix))
-        assert matrix_view.num_rows == 3
-        assert not isinstance(matrix_view, EncodedView)
+        assert (view.matrix == data.matrix).all()
+        # serial and thread pools hand tasks the relation itself
+        assert resolve_view(data) is data
+
+    def test_attachment_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(transport, "_ATTACHED", {})
+        published = [
+            publish_encoded(_encoded_of_rows([(i, j) for j in range(8)])[1])
+            for i in range(transport._ATTACH_LIMIT + 2)
+        ]
+        try:
+            views = [resolve_view(handle) for handle, _ in published]
+            assert len(transport._ATTACHED) == transport._ATTACH_LIMIT
+            assert resolve_view(published[-1][0]) is views[-1]
+            # the oldest was dropped; attaching again still works
+            again = resolve_view(published[0][0])
+            assert again is not views[0]
+            assert (again.matrix == views[0].matrix).all()
+        finally:
+            for _, cleanup in published:
+                cleanup()
 
     def test_no_leaked_mmap_files_after_pool_close(self, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_PAIRS_PER_WORKER", 1)
-        before = _mmap_files()
+        before = mmap_files()
         data = preprocess(registry.make("fd-reduced-30", rows=200, seed=11), True)
         pool = get_pool("process:2")
         backend = get_backend("columnar")
         masks = parallel.agree_masks_sharded(
-            pool, data, list(range(150)), list(range(50, 200)), backend=backend
+            pool, data, list(range(150)), list(range(50, 200)), backend
         )
         assert masks == data.agree_masks_bulk(list(range(150)), list(range(50, 200)))
         close_all_pools()
-        assert _mmap_files() - before == set()
+        assert mmap_files() - before == set()
 
     def test_mmap_metrics_rise_and_fall(self):
         from repro.obs import names

@@ -7,8 +7,10 @@ SARIF/``--changed`` CLI surface, and the ``live_resources`` probe."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import types
 from pathlib import Path
@@ -46,9 +48,9 @@ class TestOwnershipGrammar:
         assert parse_contract("x\n\nOwns: return via call\n").owns_return == "call"
 
     def test_owns_self_and_params(self):
-        contract = parse_contract("x\n\nOwns: self\nOwns: seg via shm-segment\n")
+        contract = parse_contract("x\n\nOwns: self\nOwns: seg via mmap-matrix\n")
         assert contract.owns_self
-        assert contract.owns_params == (("seg", "shm-segment"),)
+        assert contract.owns_params == (("seg", "mmap-matrix"),)
 
     def test_borrows_list(self):
         contract = parse_contract("x\n\nBorrows: pool, data\n")
@@ -259,13 +261,13 @@ class TestUseAfterRelease:
 # -- RPR111: release-protocol violations ---------------------------------------
 
 
-def _with_shm(source: str) -> str:
-    """Prefix a stub SharedMemory class (pre-dedented concatenation)."""
+def _with_mmap(source: str) -> str:
+    """Prefix a stub MmapSegment class (pre-dedented concatenation)."""
     preamble = textwrap.dedent(
         """
-        class SharedMemory:
-            def __init__(self, create=False, size=0):
-                self.create = create
+        class MmapSegment:
+            def __init__(self, path):
+                self.path = path
             def close(self):
                 pass
             def unlink(self):
@@ -279,9 +281,9 @@ class TestReleaseProtocol:
     def test_unlink_before_close(self, tmp_path):
         findings = _scan(
             tmp_path,
-            _with_shm("""
-            def publish(size):
-                segment = SharedMemory(create=True, size=size)
+            _with_mmap("""
+            def publish(path):
+                segment = MmapSegment(path)
                 segment.unlink()
                 segment.close()
             """),
@@ -336,9 +338,9 @@ class TestReleaseProtocol:
     def test_in_order_protocol_is_clean(self, tmp_path):
         findings = _scan(
             tmp_path,
-            _with_shm("""
-            def publish(size):
-                segment = SharedMemory(create=True, size=size)
+            _with_mmap("""
+            def publish(path):
+                segment = MmapSegment(path)
                 segment.close()
                 segment.unlink()
             """),
@@ -350,20 +352,20 @@ class TestReleaseProtocol:
 
 
 class TestBrokenEngineShapes:
-    def test_publish_matrix_missing_unlink_on_error_path(self, tmp_path):
-        # A copy of publish_matrix whose error path forgets unlink: the
-        # segment reaches the raise with only close applied.
+    def test_publish_encoded_missing_unlink_on_error_path(self, tmp_path):
+        # A copy of publish_encoded whose error path forgets unlink: the
+        # file reaches the raise with only close applied.
         findings = _scan(
             tmp_path,
-            _with_shm("""
-            def broken_publish(matrix, size):
-                '''Publish one matrix.
+            _with_mmap("""
+            def broken_publish(encoded, path):
+                '''Publish one encoding.
 
                 Owns: return via call
                 '''
-                segment = SharedMemory(create=True, size=size)
+                segment = MmapSegment(path)
                 try:
-                    fill(segment, matrix)
+                    fill(segment, encoded)
                 except BaseException:
                     segment.close()
                     raise
@@ -375,11 +377,11 @@ class TestBrokenEngineShapes:
     def test_close_unlinks_before_closing(self, tmp_path):
         findings = _scan(
             tmp_path,
-            _with_shm("""
+            _with_mmap("""
             def broken_close(segment):
-                '''Tear one segment down.
+                '''Tear one file down.
 
-                Owns: segment via shm-segment
+                Owns: segment via mmap-matrix
                 '''
                 segment.unlink()
                 segment.close()
@@ -390,23 +392,23 @@ class TestBrokenEngineShapes:
     def test_fixed_shapes_are_clean(self, tmp_path):
         findings = _scan(
             tmp_path,
-            _with_shm("""
+            _with_mmap("""
             def discard(segment):
-                '''Tear one segment down.
+                '''Tear one file down.
 
-                Owns: segment via shm-segment
+                Owns: segment via mmap-matrix
                 '''
                 segment.close()
                 segment.unlink()
 
-            def publish(matrix, size):
-                '''Publish one matrix.
+            def publish(encoded, path):
+                '''Publish one encoding.
 
                 Owns: return via call
                 '''
-                segment = SharedMemory(create=True, size=size)
+                segment = MmapSegment(path)
                 try:
-                    fill(segment, matrix)
+                    fill(segment, encoded)
                 except BaseException:
                     discard(segment)
                     raise
@@ -647,6 +649,22 @@ class TestLiveResourcesProbe:
         with pytest.raises(ProbeViolation, match="executor survived"):
             wrapped_close(pool)
 
+    def test_orphan_mmap_file_violates(self, wrapped_close, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        (tmp_path / f"repro_mmap_{os.getpid()}_1").touch()
+        with pytest.raises(ProbeViolation, match="no live owning pool"):
+            wrapped_close(_FakePool())
+
+    def test_mmap_file_of_a_live_pool_passes(
+        self, wrapped_close, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        path = tmp_path / f"repro_mmap_{os.getpid()}_1"
+        path.touch()
+        owner = _FakePool()
+        owner._published = {1: (None, types.SimpleNamespace(path=str(path)))}
+        assert wrapped_close(_FakePool()) is None
+
     def test_exit_check_passes_when_clean(self, monkeypatch):
         exits: list[int] = []
         monkeypatch.setattr(runtime.os, "_exit", exits.append)
@@ -657,7 +675,7 @@ class TestLiveResourcesProbe:
         exits: list[int] = []
         monkeypatch.setattr(runtime.os, "_exit", exits.append)
         monkeypatch.setattr(
-            runtime, "_own_segments", lambda prefix: {"repro_shm_1_leak"}
+            runtime, "_own_files", lambda prefix: {"repro_mmap_1_leak"}
         )
         runtime._exit_live_resources_check("nosuchpkg.parallel")
         assert exits == [70]

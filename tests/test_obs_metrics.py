@@ -3,7 +3,7 @@
 Three layers are covered: the registry itself (deterministic bucketing
 under a FakeClock, exporter round-trips, the zero-overhead-when-disabled
 front door), the instrumented subsystems (partition-store byte
-accounting, shm segment gauges, worker-pool queue gauges, per-phase
+accounting, mmap-transport gauges, worker-pool queue gauges, per-phase
 memory attribution), and the end-to-end ``repro-fd metrics`` /
 ``repro-metrics`` CLI.  The overhead test is the committed form of the
 fast-path promise: a discover with metrics disabled must sit within 2%
@@ -25,8 +25,8 @@ import repro.core.inversion as inversion_module
 import repro.core.sampler as sampler_module
 import repro.engine.context as context_module
 import repro.engine.parallel as parallel_module
-import repro.engine.shm as shm_module
 import repro.engine.store as store_module
+import repro.engine.transport as transport_module
 import repro.fd.covers as covers_module
 from repro.algorithms import create
 from repro.cli import main as cli_main
@@ -38,7 +38,6 @@ from repro.engine import (
     close_all_pools,
     use_context,
 )
-from repro.engine.shm import publish_matrix
 from repro.engine.store import (
     CLUSTER_OVERHEAD_BYTES,
     ENTRY_OVERHEAD_BYTES,
@@ -74,9 +73,13 @@ from repro.obs import (
     phase_memory,
     prometheus_name,
     prometheus_text,
+    recording,
+    tally,
     uninstall_metrics,
 )
-from repro.relation.preprocess import preprocess
+from repro.core.incremental import IncrementalEulerFD
+from repro.engine.transport import publish_encoded
+from repro.relation.preprocess import encode_matrix, preprocess
 
 
 @pytest.fixture(autouse=True)
@@ -228,6 +231,63 @@ class TestFrontDoor:
         assert registry_.histograms["h"].total == pytest.approx(0.5)
 
 
+class TestTally:
+    """One emission call per event: :func:`tally` fans out to the
+    thread's recorder and the process registry."""
+
+    def test_fans_out_to_both_sinks(self):
+        with recording() as recorder, collecting_metrics() as registry_:
+            tally("c")
+            tally("c", 2)
+        assert recorder.counter_totals["c"] == 3
+        assert registry_.counters["c"] == 3.0
+
+    def test_each_sink_alone_and_neither(self):
+        with recording() as recorder:
+            tally("c", 2)
+        assert recorder.counter_totals["c"] == 2
+        with collecting_metrics() as registry_:
+            tally("c", 2)
+        assert registry_.counters["c"] == 2.0
+        tally("c")  # neither installed: a no-op
+        assert current_metrics() is None
+
+    def test_engine_events_reach_both_sinks(self, monkeypatch):
+        monkeypatch.setattr(parallel_module, "MIN_GROUPS_PER_WORKER", 1)
+        relation = registry.make("fd-reduced-30", rows=120, seed=5)
+        with recording() as recorder, collecting_metrics() as registry_:
+            context = ExecutionContext(relation, cache_size=8, jobs="thread:2")
+            with use_context(context):
+                fds = create("tane").discover(relation)
+            context.validate_many(sorted(fds))
+            context.partition(attrset.singleton(0))
+            context.pool.close()
+        for name in (
+            names.PARTITION_CACHE_HIT,
+            names.PARTITION_CACHE_MISS,
+            names.PARTITION_CACHE_DERIVE,
+            names.PARTITION_CACHE_EVICT,
+            names.VALIDATE_CANDIDATES,
+            names.VALIDATE_LHS_FOLDS,
+            names.POOL_BUSY_SECONDS,
+            names.POOL_TASKS,
+            names.POOL_CHUNKS,
+        ):
+            assert recorder.counter_totals[name] > 0, name
+            assert registry_.counters[name] == pytest.approx(
+                recorder.counter_totals[name]
+            ), name
+
+    def test_incremental_pairs_reach_both_sinks(self):
+        relation = registry.make("fd-reduced-30", rows=41, seed=5)
+        with recording() as recorder, collecting_metrics() as registry_:
+            session = IncrementalEulerFD(relation.head(40))
+            session.append([relation.row(40)])
+        name = names.INCREMENTAL_PAIRS_COMPARED
+        assert recorder.counter_totals[name] > 0
+        assert registry_.counters[name] == recorder.counter_totals[name]
+
+
 # -- exporters -----------------------------------------------------------------
 
 
@@ -235,7 +295,7 @@ class TestExporters:
     def _populated(self):
         registry_ = MetricsRegistry(buckets={"h.seconds": (0.1, 1.0)})
         registry_.inc(names.PARTITION_CACHE_HIT, 3)
-        registry_.gauge_set(names.SHM_SEGMENTS, 2.0)
+        registry_.gauge_set(names.MMAP_FILES, 2.0)
         registry_.gauge_set("uncatalogued.gauge", 1.5)
         registry_.observe("h.seconds", 0.05)
         registry_.observe("h.seconds", 0.5)
@@ -254,14 +314,14 @@ class TestExporters:
         assert text.endswith("\n")
         lines = text.splitlines()
         assert "repro_engine_partition_cache_hit 3" in lines
-        assert "repro_engine_shm_segments 2" in lines
+        assert "repro_engine_mmap_files 2" in lines
         assert "repro_uncatalogued_gauge 1.5" in lines
         assert (
             "# HELP repro_engine_partition_cache_hit "
             "Partition-store lookups served from cache" in lines
         )
         assert "# TYPE repro_engine_partition_cache_hit counter" in lines
-        assert "# TYPE repro_engine_shm_segments gauge" in lines
+        assert "# TYPE repro_engine_mmap_files gauge" in lines
         assert "# TYPE repro_h_seconds histogram" in lines
         # Uncatalogued names get TYPE but no HELP.
         assert not any("# HELP repro_uncatalogued_gauge" in l for l in lines)
@@ -410,7 +470,7 @@ class TestStoreByteAccounting:
         )
 
 
-# -- shm and pool gauges -------------------------------------------------------
+# -- transport and pool gauges -------------------------------------------------
 
 
 np = pytest.importorskip("numpy")
@@ -424,42 +484,41 @@ def fresh_pools():
 
 
 class TestShmGauges:
-    @pytest.mark.skipif(
-        not shm_module.HAVE_SHARED_MEMORY, reason="no shared memory here"
-    )
+    """Gauges of the shared-memory transport: the mmap files every
+    process worker maps (``engine.mmap.*``)."""
+
     def test_publish_and_cleanup_balance_the_gauges(self):
-        matrix = np.zeros((64, 8), dtype=np.int32)
+        encoded = encode_matrix(np.zeros((64, 8), dtype=np.int64))
         with collecting_metrics() as registry_:
-            handle, cleanup = publish_matrix(matrix)
-            assert registry_.gauges[names.SHM_SEGMENTS] == 1.0
-            assert registry_.gauges[names.SHM_BYTES] >= matrix.nbytes
+            handle, cleanup = publish_encoded(encoded)
+            assert registry_.gauges[names.MMAP_FILES] == 1.0
+            assert registry_.gauges[names.MMAP_BYTES] >= encoded.nbytes
             cleanup()
-            assert registry_.gauges[names.SHM_SEGMENTS] == 0.0
-            assert registry_.gauges[names.SHM_BYTES] == 0.0
+            assert registry_.gauges[names.MMAP_FILES] == 0.0
+            assert registry_.gauges[names.MMAP_BYTES] == 0.0
             cleanup()  # idempotent: a second call must not go negative
-            assert registry_.gauges[names.SHM_SEGMENTS] == 0.0
+            assert registry_.gauges[names.MMAP_FILES] == 0.0
 
-    def test_pickle_fallback_publishes_no_gauges(self):
-        matrix = np.zeros((8, 2), dtype=np.int32)
+    def test_pickle_fallback_publishes_no_gauges(self, unwritable_tempdir):
+        encoded = encode_matrix(np.zeros((8, 2), dtype=np.int64))
         with collecting_metrics() as registry_:
-            _, cleanup = publish_matrix(matrix, use_shared_memory=False)
+            _, cleanup = publish_encoded(encoded)
             cleanup()
-        assert names.SHM_SEGMENTS not in registry_.gauges
+        assert names.MMAP_FILES not in registry_.gauges
 
-    @pytest.mark.skipif(
-        not shm_module.HAVE_SHARED_MEMORY, reason="no shared memory here"
-    )
     def test_process_pool_publish_and_close(self):
-        matrix = np.zeros((64, 8), dtype=np.int32)
+        data = preprocess(registry.make("fd-reduced-30", rows=64, seed=5), True)
         pool = WorkerPool("process:2")
         with collecting_metrics() as registry_:
-            pool.matrix_handle(matrix)
-            pool.matrix_handle(matrix)  # cached: still one segment
-            assert registry_.gauges[names.SHM_SEGMENTS] == 1.0
-            assert registry_.gauges[names.SHM_BYTES] >= matrix.nbytes
+            pool.publish(data)
+            pool.publish(data)  # cached: still one file
+            assert registry_.gauges[names.MMAP_FILES] == 1.0
+            assert registry_.gauges[names.MMAP_BYTES] >= (
+                data.encoded_matrix().nbytes
+            )
             pool.close()
-            assert registry_.gauges[names.SHM_SEGMENTS] == 0.0
-            assert registry_.gauges[names.SHM_BYTES] == 0.0
+            assert registry_.gauges[names.MMAP_FILES] == 0.0
+            assert registry_.gauges[names.MMAP_BYTES] == 0.0
 
 
 def _echo_task(value):
@@ -521,42 +580,38 @@ class TestEndToEndDiscover:
         rebuilt = metrics_from_jsonl(metrics_jsonl(registry_))
         assert rebuilt.snapshot() == snapshot
 
-    @pytest.mark.skipif(
-        not shm_module.HAVE_SHARED_MEMORY, reason="no shared memory here"
-    )
     def test_process_pool_run_exports_all_three_gauge_families(
         self, monkeypatch
     ):
         """The acceptance shape: one metrics-enabled run, scraped live,
-        shows partition-cache bytes, shm segments and memory peaks in
+        shows partition-cache bytes, mmap files and memory peaks in
         both export formats."""
         monkeypatch.setattr(parallel_module, "MIN_PAIRS_PER_WORKER", 1)
         monkeypatch.setattr(parallel_module, "MIN_GROUPS_PER_WORKER", 1)
         relation = registry.make("fd-reduced-30", rows=150, seed=5)
         with collecting_metrics() as registry_:
             with memory_profiling():
-                # Pinned to the matrix backend: the columnar backend
-                # ships its encoding over the mmap transport, whose
-                # gauge balance test_columnar.py covers.
+                # The numpy backend: the mmap transport serves every
+                # backend, not only the columnar one.
                 context = ExecutionContext(
                     relation, jobs="process:2", backend="numpy"
                 )
                 with use_context(context):
                     create("eulerfd").discover(relation)
-                # Scrape before close: cleanup decrements the shm gauges.
+                # Scrape before close: cleanup decrements the mmap gauges.
                 text = prometheus_text(registry_)
                 jsonl = metrics_jsonl(registry_)
                 context.pool.close()
         exported = metrics_from_jsonl(jsonl).gauges
-        assert exported[names.SHM_SEGMENTS] >= 1.0
-        assert exported[names.SHM_BYTES] > 0
+        assert exported[names.MMAP_FILES] >= 1.0
+        assert exported[names.MMAP_BYTES] > 0
         assert exported[names.PARTITION_CACHE_RESIDENT_BYTES] > 0
         assert exported[names.MEM_PHASE_SAMPLING] >= 0
-        assert "repro_engine_shm_segments" in text
+        assert "repro_engine_mmap_files" in text
         assert "repro_engine_partition_cache_resident_bytes" in text
         assert "repro_mem_phase_sampling_peak_bytes" in text
-        # After close the live registry's segment gauge drains to zero.
-        assert registry_.gauges[names.SHM_SEGMENTS] == 0.0
+        # After close the live registry's file gauge drains to zero.
+        assert registry_.gauges[names.MMAP_FILES] == 0.0
 
     def test_max_cache_bytes_flows_into_the_store(self):
         relation = registry.make("fd-reduced-30", rows=100, seed=5)
@@ -570,7 +625,7 @@ _INSTRUMENTED_MODULES = (
     store_module,
     context_module,
     parallel_module,
-    shm_module,
+    transport_module,
     covers_module,
     eulerfd_module,
     inversion_module,
@@ -580,8 +635,10 @@ _INSTRUMENTED_MODULES = (
 
 # Only the helpers THIS layer added: the pre-PR recorder front door
 # (counter/gauge/point) stays live on both sides, so the measured delta
-# is exactly what the metrics registry costs while disabled.
+# is exactly what the metrics registry costs while disabled.  ``tally``
+# carries the registry half of the events both sinks count.
 _HELPER_NAMES = (
+    "tally",
     "metric_inc",
     "metric_gauge_set",
     "metric_gauge_add",

@@ -11,12 +11,11 @@ to the inline path and the tests would assert nothing.
 
 from __future__ import annotations
 
-import glob
+import pickle
 
 import pytest
 
 import repro.engine.parallel as parallel
-import repro.engine.shm as shm
 from repro.algorithms import create
 from repro.bench.runner import run_algorithm, run_matrix
 from repro.datasets import registry
@@ -26,12 +25,23 @@ from repro.engine import (
     PoolSpec,
     WorkerPool,
     close_all_pools,
+    get_backend,
     get_pool,
     resolve_spec,
     use_context,
 )
 from repro.engine.parallel import chunk_pairs, chunk_ranges, merge_chunked
+from repro.engine.transport import (
+    EncodedView,
+    InlineEncoded,
+    MmapEncodedRef,
+    publish_encoded,
+    resolve_view,
+)
+from repro.fd import FD, attrset
 from repro.relation.preprocess import preprocess
+
+from .conftest import mmap_files
 
 
 @pytest.fixture
@@ -43,14 +53,14 @@ def tiny_thresholds(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def fresh_pools():
-    """Every test starts and ends without cached pools or live segments."""
+    """Every test starts and ends without cached pools or live files."""
     close_all_pools()
     yield
     close_all_pools()
 
 
-def _discover(algorithm: str, relation, jobs):
-    context = ExecutionContext(relation, jobs=jobs)
+def _discover(algorithm: str, relation, jobs, backend=None):
+    context = ExecutionContext(relation, jobs=jobs, backend=backend)
     with use_context(context):
         result = create(algorithm).discover(relation)
     return result
@@ -141,7 +151,9 @@ class TestShardedKernels:
         rows_b = list(range(50, 200))
         serial = sample_data.agree_masks_bulk(rows_a, rows_b)
         pool = get_pool(jobs)
-        assert parallel.agree_masks_sharded(pool, sample_data, rows_a, rows_b) == serial
+        assert parallel.agree_masks_sharded(
+            pool, sample_data, rows_a, rows_b, get_backend("numpy")
+        ) == serial
         assert pool.stats()["chunks"] > 0
 
     @pytest.mark.parametrize("jobs", KINDS)
@@ -172,7 +184,7 @@ class TestShardedKernels:
         pool = get_pool("thread:2")
         rows_a, rows_b = [0, 1], [2, 3]
         assert parallel.agree_masks_sharded(
-            pool, sample_data, rows_a, rows_b
+            pool, sample_data, rows_a, rows_b, get_backend("numpy")
         ) == sample_data.agree_masks_bulk(rows_a, rows_b)
         assert pool.stats()["chunks"] == 0  # below threshold: no dispatch
 
@@ -209,31 +221,93 @@ class TestCrossWorkerDeterminism:
         assert thread.stats == process.stats
 
 
-# -- shared-memory transport ---------------------------------------------------
+# -- the mmap transport --------------------------------------------------------
+
+
+BACKENDS = ["numpy", "python", "columnar"]
+
+
+def _candidates(data):
+    """Every single-attribute FD (mostly invalid: witnesses to compare)
+    plus Fdep's exact cover (valid)."""
+    width = data.num_columns
+    singles = [
+        FD(attrset.singleton(lhs), rhs)
+        for lhs in range(width)
+        for rhs in range(width)
+        if lhs != rhs
+    ]
+    return singles + sorted(create("fdep").discover(data.relation).fds)
+
+
+class TestProcessWorkerView:
+    """Process workers reach the relation through one published mmap file
+    and one :class:`EncodedView`, whatever the backend."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_worker_view_matches_serial(self, sample_data, backend, tiny_thresholds):
+        relation = sample_data.relation
+        candidates = _candidates(sample_data)
+        serial = ExecutionContext(relation, jobs="serial", backend=backend)
+        fanned = ExecutionContext(relation, jobs="process:2", backend=backend)
+        assert fanned.validate_many(candidates, witnesses=True) == (
+            serial.validate_many(candidates, witnesses=True)
+        )
+        handles = [entry[1] for entry in fanned.pool._published.values()]
+        assert handles and all(isinstance(h, MmapEncodedRef) for h in handles)
+
+        kernel = get_backend(backend)
+        rows_a, rows_b = list(range(0, 150)), list(range(50, 200))
+        assert parallel.agree_masks_sharded(
+            fanned.pool, fanned.data, rows_a, rows_b, kernel
+        ) == kernel.agree_masks(serial.data, rows_a, rows_b)
+
+        baseline = _discover("fdep", relation, "serial", backend)
+        result = _discover("fdep", relation, "process:2", backend)
+        assert result.fds == baseline.fds
+        assert result.stats == baseline.stats
+
+    def test_worker_matrix_is_the_narrow_stack(self, sample_data):
+        view = EncodedView(sample_data.encoded_matrix())
+        unstacked = pickle.dumps(view)
+        assert view.matrix is view.matrix  # stacked once per view
+        # a cache, not state: contract snapshots see no mutation
+        assert pickle.dumps(view) == unstacked
+        assert view.matrix.dtype != sample_data.matrix.dtype
+        assert (view.matrix == sample_data.matrix).all()
+
+    def test_same_relation_publishes_one_file(self, sample_data):
+        before = mmap_files()
+        pool = get_pool("process:2")
+        assert pool.publish(sample_data) is pool.publish(sample_data)
+        assert len(mmap_files() - before) == 1
+
+    def test_thread_pools_hand_over_the_relation(self, sample_data):
+        assert get_pool("thread:2").publish(sample_data) is sample_data
+        assert resolve_view(sample_data) is sample_data
 
 
 class TestMatrixTransport:
     def test_publish_resolve_roundtrip(self, sample_data):
-        handle, cleanup = shm.publish_matrix(sample_data.matrix)
+        handle, cleanup = publish_encoded(sample_data.encoded_matrix())
         try:
-            resolved = shm.resolve_matrix(handle)
-            assert (resolved == sample_data.matrix).all()
+            resolved = resolve_view(handle)
+            assert (resolved.matrix == sample_data.matrix).all()
         finally:
             cleanup()
         cleanup()  # idempotent
 
-    def test_pickle_fallback_roundtrip(self, sample_data):
-        handle, cleanup = shm.publish_matrix(
-            sample_data.matrix, use_shared_memory=False
-        )
-        assert isinstance(handle, shm.PickledMatrix)
-        resolved = shm.resolve_matrix(handle)
-        assert (resolved == sample_data.matrix).all()
+    def test_pickle_fallback_roundtrip(self, sample_data, unwritable_tempdir):
+        """Without a writable temp dir the encoding travels by pickle."""
+        handle, cleanup = publish_encoded(sample_data.encoded_matrix())
+        assert isinstance(handle, InlineEncoded)
+        resolved = resolve_view(pickle.loads(pickle.dumps(handle)))
+        assert (resolved.matrix == sample_data.matrix).all()
         cleanup()
 
-    def test_discovery_on_pickle_fallback(self, monkeypatch, tiny_thresholds):
-        """Platforms without shared memory still parallelize correctly."""
-        monkeypatch.setattr(shm, "HAVE_SHARED_MEMORY", False)
+    def test_discovery_on_pickle_fallback(self, unwritable_tempdir, tiny_thresholds):
+        """Process pools without a writable temp dir still parallelize
+        correctly, shipping the inline encoding per task."""
         relation = registry.make("fd-reduced-30", rows=300, seed=3)
         baseline = _discover("fdep", relation, "serial")
         result = _discover("fdep", relation, 2)
@@ -241,33 +315,41 @@ class TestMatrixTransport:
         assert result.stats == baseline.stats
 
     def test_no_leaked_segments_after_close(self, sample_data, tiny_thresholds):
-        # Snapshot first: only segments *this* test publishes count, so a
-        # stale segment from an unrelated crashed process cannot flake us.
-        before = set(glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}*"))
+        # Snapshot first: only files *this* test publishes count, so a
+        # stale file from an unrelated crashed process cannot flake us.
+        before = mmap_files()
         pool = get_pool("process:2")
         parallel.agree_masks_sharded(
-            pool, sample_data, list(range(150)), list(range(50, 200))
+            pool,
+            sample_data,
+            list(range(150)),
+            list(range(50, 200)),
+            get_backend("numpy"),
         )
+        assert mmap_files() - before
         close_all_pools()
-        leaked = set(glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}*")) - before
-        assert leaked == set()
+        assert mmap_files() - before == set()
 
     def test_closed_pool_refuses_to_publish(self, sample_data):
-        """A stale context must fail loudly, not orphan a fresh segment."""
+        """A stale context must fail loudly, not orphan a fresh file."""
         pool = get_pool("process:2")
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.matrix_handle(sample_data.matrix)
+            pool.publish(sample_data)
 
     def test_pool_is_a_context_manager(self, sample_data, tiny_thresholds):
-        before = set(glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}*"))
+        before = mmap_files()
         with WorkerPool(PoolSpec("process", 2)) as pool:
             assert pool.jobs == 2
             parallel.agree_masks_sharded(
-                pool, sample_data, list(range(100)), list(range(50, 150))
+                pool,
+                sample_data,
+                list(range(100)),
+                list(range(50, 150)),
+                get_backend("numpy"),
             )
         assert pool._published == {}
-        assert set(glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}*")) - before == set()
+        assert mmap_files() - before == set()
 
     def test_pool_context_manager_closes_on_error(self):
         pool = WorkerPool(PoolSpec("thread", 2))
@@ -300,14 +382,26 @@ class TestBenchIntegration:
         with pytest.raises(KeyError):
             run_matrix([registry.make("iris", rows=20, seed=1)], algorithms=["Nope"])
 
-    def test_parallel_efficiency_populated(self, tiny_thresholds):
+    def test_parallel_efficiency_populated(self, tiny_thresholds, monkeypatch):
         relation = registry.make("fd-reduced-30", rows=300, seed=3)
         serial = run_algorithm(create("fdep").__class__, relation, jobs="serial")
         assert serial.jobs == 1 and serial.parallel_efficiency is None
-        fanned = run_algorithm(
+        for algorithm in ("fdep", "eulerfd", "hyfd"):
+            fanned = run_algorithm(
+                create(algorithm).__class__, relation, jobs="thread:2"
+            )
+            assert fanned.jobs == 2
+            assert fanned.parallel_efficiency is not None, algorithm
+            assert fanned.parallel_efficiency > 0, algorithm
+        assert run_algorithm(
             create("fdep").__class__, relation, jobs="thread:2"
-        )
-        assert fanned.jobs == 2
-        assert fanned.parallel_efficiency is not None
-        assert fanned.parallel_efficiency > 0
-        assert fanned.fds == serial.fds
+        ).fds == serial.fds
+        # A parallel pool that dispatched nothing still reports a number:
+        # Tane never fans out, and no batch clears huge thresholds.
+        monkeypatch.setattr(parallel, "MIN_PAIRS_PER_WORKER", 10**9)
+        monkeypatch.setattr(parallel, "MIN_GROUPS_PER_WORKER", 10**9)
+        for algorithm in ("tane", "eulerfd"):
+            inline = run_algorithm(
+                create(algorithm).__class__, relation, jobs="thread:2"
+            )
+            assert inline.parallel_efficiency == 0.0, algorithm
